@@ -178,21 +178,6 @@ impl HierarchyStats {
     pub fn event(&self, e: CoherenceEvent) -> u64 {
         self.events.get(e)
     }
-
-    /// Accumulates another lane's statistics. Every field is a counter
-    /// sum or histogram-bucket add, so merging is commutative and
-    /// associative — the parallel tick's per-worker stats fold into the
-    /// exact totals the serial tick accumulates, in any merge order.
-    pub fn merge(&mut self, other: &HierarchyStats) {
-        self.events.merge(&other.events);
-        self.l1_hits += other.l1_hits;
-        self.l1_misses += other.l1_misses;
-        self.mshr_merges += other.mshr_merges;
-        self.recalls += other.recalls;
-        self.silent_upgrades += other.silent_upgrades;
-        self.dispatched += other.dispatched;
-        self.protocol.merge(&other.protocol);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -328,8 +313,8 @@ impl LlcLine {
 
 /// One address-sharded LLC/directory bank: a slice of the aggregate LLC
 /// array plus that slice's set stalls, DRAM channel, and golden memory
-/// image. Banks share nothing, which is what lets the parallel tick
-/// dispatch into different banks concurrently.
+/// image. Banks share nothing: an LLC-side event touches only the bank
+/// that owns its block.
 #[derive(Debug, Clone)]
 pub(crate) struct LlcBank {
     pub(crate) array: CacheArray<LlcLine>,
@@ -340,95 +325,6 @@ pub(crate) struct LlcBank {
     pub(crate) mem: MemoryController,
     /// Golden DRAM image for this bank's blocks (absent = 0).
     pub(crate) mem_image: FxHashMap<u64, u64>,
-}
-
-/// An indexable view of one domain slice (`Vec<L1>` / `Vec<LlcBank>`)
-/// that a [`Lane`] dispatches into.
-///
-/// Serially it is a plain reborrow of the whole slice. In the parallel
-/// tick every worker holds a view of the *same* slice, and exclusivity
-/// is by protocol instead of by type: the round partitioner hands each
-/// domain (one core's L1, one LLC bank) to at most one worker, and a
-/// lane only ever indexes the domains of events it was handed. Raw
-/// pointers (rather than overlapping `&mut [T]`, which would be
-/// immediate UB) keep that aliasing legal; the generalization of
-/// `split_at_mut` to an arbitrary partition.
-pub(crate) struct DomainVec<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: std::marker::PhantomData<&'a mut [T]>,
-}
-
-impl<'a, T> DomainVec<'a, T> {
-    /// The serial view: exclusive over the whole slice.
-    pub(crate) fn full(slice: &'a mut [T]) -> Self {
-        DomainVec {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// An aliasing view for one parallel worker.
-    ///
-    /// # Safety
-    ///
-    /// `ptr..ptr + len` must stay valid (and un-moved) for `'a`, and no
-    /// two concurrently live views may index the same element — the
-    /// round partitioner's domain-claim protocol.
-    pub(crate) unsafe fn alias(ptr: *mut T, len: usize) -> Self {
-        DomainVec {
-            ptr,
-            len,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<T> std::ops::Index<usize> for DomainVec<'_, T> {
-    type Output = T;
-    #[inline]
-    fn index(&self, i: usize) -> &T {
-        assert!(i < self.len, "domain {i} out of range ({})", self.len);
-        unsafe { &*self.ptr.add(i) }
-    }
-}
-
-impl<T> std::ops::IndexMut<usize> for DomainVec<'_, T> {
-    #[inline]
-    fn index_mut(&mut self, i: usize) -> &mut T {
-        assert!(i < self.len, "domain {i} out of range ({})", self.len);
-        unsafe { &mut *self.ptr.add(i) }
-    }
-}
-
-// SAFETY: views move to workers only under the claim protocol above, and
-// the underlying elements are plain owned data.
-unsafe impl<T: Send> Send for DomainVec<'_, T> {}
-
-/// Everything one dispatched event may touch, split out of [`Hierarchy`]
-/// so the same handler code serves both the serial tick (one lane over
-/// all domains) and the parallel tick (one lane per worker, restricted by
-/// the claim protocol to the domains it was handed).
-///
-/// Handlers never schedule into the event queue directly: sends collect
-/// in `sends` in emission order and the caller drains them, which is what
-/// makes a round of concurrently dispatched events mergeable into the
-/// exact serial schedule order.
-pub(crate) struct Lane<'a> {
-    pub(crate) cfg: &'a HierarchyConfig,
-    pub(crate) mesh: MeshTopology,
-    pub(crate) l1s: DomainVec<'a, L1>,
-    pub(crate) banks: DomainVec<'a, LlcBank>,
-    pub(crate) stats: &'a mut HierarchyStats,
-    pub(crate) completions: &'a mut Vec<Completion>,
-    pub(crate) sends: &'a mut Vec<(Cycle, Event)>,
-    pub(crate) finish_scratch: &'a mut Vec<PendingReq>,
-    pub(crate) tracer: &'a mut Tracer,
-    pub(crate) jitter: Option<&'a mut LinkJitter>,
-    /// When the undo log is armed: the top frame's latency-record journal
-    /// (completions log histogram marks there so undo can reverse them).
-    pub(crate) undo_lat: Option<&'a mut Vec<(RequestClass, u64, HistogramMark)>>,
 }
 
 #[derive(Debug, Clone)]
@@ -701,27 +597,29 @@ type FrontierItem = (u64, (u8, u64, u64), u64, u64);
 /// returned as [`Completion`]s carrying latency and classification.
 #[derive(Debug)]
 pub struct Hierarchy {
-    pub(crate) cfg: HierarchyConfig,
-    pub(crate) queue: EventQueue<Event>,
+    cfg: HierarchyConfig,
+    queue: EventQueue<Event>,
     pub(crate) l1s: Vec<L1>,
     /// Address-sharded LLC/directory banks (`cfg.banks` of them; bank
     /// `cfg.bank_of(addr)` owns block `addr`).
     pub(crate) banks: Vec<LlcBank>,
     next_req: RequestId,
-    pub(crate) completions: Vec<Completion>,
+    completions: Vec<Completion>,
     /// Scratch buffer for [`EventQueue::pop_batch`]; kept on the struct so
     /// its allocation is reused across ticks.
-    pub(crate) batch: Vec<Event>,
+    batch: Vec<Event>,
     /// Scratch for draining a closed MSHR transaction's queued requests;
     /// reused so transaction completion never allocates.
-    pub(crate) finish_scratch: Vec<PendingReq>,
-    pub(crate) stats: HierarchyStats,
+    finish_scratch: Vec<PendingReq>,
+    stats: HierarchyStats,
     /// Structured protocol tracer (disabled by default: one branch per
     /// would-be event).
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
     /// Optional per-hop latency jitter (fuzzing only; `None` keeps the
     /// calibrated fixed latencies).
-    pub(crate) jitter: Option<LinkJitter>,
+    jitter: Option<LinkJitter>,
+    /// The 2D mesh placement implied by the configuration.
+    mesh: MeshTopology,
     /// Step-reversal log (inactive until [`enable_undo`](Self::enable_undo)).
     undo: UndoLog,
     /// Scratch for per-L1 content digests in
@@ -729,8 +627,6 @@ pub struct Hierarchy {
     digest_l1_scratch: Vec<u64>,
     /// Scratch for per-bank content digests, same purpose.
     digest_bank_scratch: Vec<u64>,
-    /// Scratch for the serial dispatch path's deferred sends.
-    pub(crate) sends_scratch: Vec<(Cycle, Event)>,
 }
 
 impl Hierarchy {
@@ -768,7 +664,7 @@ impl Hierarchy {
             undo: UndoLog::default(),
             digest_l1_scratch: Vec::new(),
             digest_bank_scratch: Vec::new(),
-            sends_scratch: Vec::new(),
+            mesh: MeshTopology::new(cfg.cores, cfg.banks, cfg.mesh_hop_latency),
             cfg,
         }
     }
@@ -1161,7 +1057,7 @@ impl Hierarchy {
             undo: UndoLog::default(),
             digest_l1_scratch: Vec::new(),
             digest_bank_scratch: Vec::new(),
-            sends_scratch: Vec::new(),
+            mesh: self.mesh,
         }
     }
 
@@ -1741,104 +1637,6 @@ impl Hierarchy {
 
     // -- dispatch plumbing -------------------------------------------------
 
-    pub(crate) fn protocol_error(
-        &self,
-        at: Cycle,
-        addr: PhysAddr,
-        core: Option<usize>,
-        detail: String,
-    ) -> Box<ProtocolError> {
-        Box::new(ProtocolError {
-            at,
-            addr,
-            core,
-            detail,
-            history: self.history_for(addr),
-        })
-    }
-
-    /// The 2D mesh placement implied by the configuration.
-    pub fn mesh(&self) -> MeshTopology {
-        MeshTopology::new(self.cfg.cores, self.cfg.banks, self.cfg.mesh_hop_latency)
-    }
-
-    /// Whether the undo log is armed (the parallel tick refuses to run
-    /// with it on: rounds dispatch many events per frame).
-    pub(crate) fn undo_active(&self) -> bool {
-        self.undo.enabled
-    }
-
-    /// A lane over every domain — the serial dispatch view.
-    pub(crate) fn lane<'a>(&'a mut self, sends: &'a mut Vec<(Cycle, Event)>) -> Lane<'a> {
-        let mesh = self.mesh();
-        let undo_lat = if self.undo.enabled {
-            self.undo.frames.last_mut().map(|f| &mut f.lat_records)
-        } else {
-            None
-        };
-        Lane {
-            cfg: &self.cfg,
-            mesh,
-            l1s: DomainVec::full(&mut self.l1s),
-            banks: DomainVec::full(&mut self.banks),
-            stats: &mut self.stats,
-            completions: &mut self.completions,
-            sends,
-            finish_scratch: &mut self.finish_scratch,
-            tracer: &mut self.tracer,
-            jitter: self.jitter.as_mut(),
-            undo_lat,
-        }
-    }
-
-    /// Dispatches one event through a full lane, then drains its deferred
-    /// sends into the queue — in emission order, which assigns exactly the
-    /// sequence numbers the pre-lane code assigned by scheduling inline.
-    fn dispatch(&mut self, now: Cycle, ev: Event) -> PResult {
-        let mut sends = std::mem::take(&mut self.sends_scratch);
-        let result = self.lane(&mut sends).dispatch(now, ev);
-        // Drain even on error: a failing handler's earlier sends were
-        // already on the wire when the pre-lane code hit the same error.
-        for (at, ev) in sends.drain(..) {
-            self.queue.schedule(at, ev);
-        }
-        self.sends_scratch = sends;
-        result
-    }
-}
-
-impl Lane<'_> {
-    /// Defers an event schedule to the caller: serial dispatch drains the
-    /// buffer into the queue after each event; the parallel round runner
-    /// merges all lanes' buffers in batch order. Either way the queue sees
-    /// schedules in exactly the serial emission order.
-    #[inline]
-    fn sched(&mut self, at: Cycle, ev: Event) {
-        self.sends.push((at, ev));
-    }
-
-    /// Per-bank array geometry (set-stall keys are bank-local indices).
-    #[inline]
-    fn bank_geom(&self) -> CacheGeometry {
-        self.cfg.bank_geometry()
-    }
-
-    /// The per-block event history from the tracer ring (empty when no
-    /// ring is attached); diagnostic payload for protocol errors.
-    fn history_for(&self, addr: PhysAddr) -> Vec<String> {
-        self.tracer
-            .ring()
-            .map(|ring| {
-                ring.iter()
-                    .filter(|(_, e)| e.addr == addr.0)
-                    .map(|(_, e)| e.to_json().to_string())
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    // -- plumbing ----------------------------------------------------------
-
     fn protocol_error(
         &self,
         at: Cycle,
@@ -1853,6 +1651,12 @@ impl Lane<'_> {
             detail,
             history: self.history_for(addr),
         })
+    }
+
+    /// Per-bank array geometry (set-stall keys are bank-local indices).
+    #[inline]
+    fn bank_geom(&self) -> CacheGeometry {
+        self.cfg.bank_geometry()
     }
 
     fn count(&mut self, e: CoherenceEvent) {
@@ -1946,7 +1750,7 @@ impl Lane<'_> {
         let bank = MeshEndpoint::Bank(self.cfg.bank_of(msg.addr().0));
         let src = msg.core().map_or(bank, MeshEndpoint::Core);
         let at = self.link_deliver(now, src, bank, delay);
-        self.sched(at, Event::ToLlc(msg));
+        self.queue.schedule(at, Event::ToLlc(msg));
     }
 
     /// Sends `msg` to `core`'s L1 from `src` (`None` = the block's
@@ -1973,10 +1777,10 @@ impl Lane<'_> {
             MeshEndpoint::Core,
         );
         let at = self.link_deliver(now, from, MeshEndpoint::Core(core), delay);
-        self.sched(at, Event::ToL1 { core, src, msg });
+        self.queue.schedule(at, Event::ToL1 { core, src, msg });
     }
 
-    pub(crate) fn dispatch(&mut self, now: Cycle, ev: Event) -> PResult {
+    fn dispatch(&mut self, now: Cycle, ev: Event) -> PResult {
         self.stats.dispatched += 1;
         match ev {
             Event::CoreReq { core, req } => self.l1_access(now, core, req),
@@ -2070,12 +1874,12 @@ impl Lane<'_> {
             self.cfg.protocol == ProtocolKind::SwiftDir,
             served_from,
         );
-        if let Some(log) = self.undo_lat.as_mut() {
+        if let Some(frame) = self.undo.frames.last_mut() {
             // Journal the record so the undo frame can reverse it LIFO —
             // copying whole histograms per frame would dwarf every other
-            // undo cost.
+            // undo cost. (Frames exist only while the undo log is armed.)
             let mark = self.stats.protocol.latency_mark(class);
-            log.push((class, latency.get(), mark));
+            frame.lat_records.push((class, latency.get(), mark));
         }
         self.stats.protocol.record_latency(class, latency.get());
         self.tracer.emit(|| TraceEvent {
@@ -2124,7 +1928,8 @@ impl Lane<'_> {
             req: Some(req.id),
             kind: TraceKind::MshrStall,
         });
-        self.sched(now + Cycle(4), Event::CoreReq { core, req });
+        self.queue
+            .schedule(now + Cycle(4), Event::CoreReq { core, req });
         true
     }
 
@@ -2398,7 +2203,7 @@ impl Lane<'_> {
                 None if attempt < INSTALL_RETRY_LIMIT => {
                     // Every way is mid-transaction; retry shortly.
                     self.stats.protocol.record_install_retry();
-                    self.sched(
+                    self.queue.schedule(
                         now + Cycle(INSTALL_RETRY_DELAY),
                         Event::L1InsertRetry {
                             core,
@@ -2457,7 +2262,7 @@ impl Lane<'_> {
             let block = self.l1s[core].stalled_installs[i];
             if self.cfg.l1_geometry.index_of(block) == set {
                 self.l1s[core].stalled_installs.swap_remove(i);
-                self.sched(
+                self.queue.schedule(
                     now,
                     Event::L1InsertRetry {
                         core,
@@ -2482,7 +2287,7 @@ impl Lane<'_> {
     ) {
         // Drain into the reusable scratch: closing a transaction performs
         // no allocation (the slot's vector and the scratch are recycled).
-        let mut waiters = std::mem::take(&mut *self.finish_scratch);
+        let mut waiters = std::mem::take(&mut self.finish_scratch);
         waiters.clear();
         if self.l1s[core].pending.take_into(block.0, &mut waiters) {
             if let Some((&primary, merged)) = waiters.split_first() {
@@ -2491,11 +2296,12 @@ impl Lane<'_> {
                     // Replay through the L1: typically an immediate hit now;
                     // a merged store behind a load grant re-issues an
                     // upgrade.
-                    self.sched(now, Event::CoreReq { core, req: merged });
+                    self.queue
+                        .schedule(now, Event::CoreReq { core, req: merged });
                 }
             }
         }
-        *self.finish_scratch = waiters;
+        self.finish_scratch = waiters;
     }
 
     fn l1_handle(&mut self, now: Cycle, core: usize, msg: Msg) -> PResult {
@@ -3079,7 +2885,7 @@ impl Lane<'_> {
                 addr,
                 false,
             );
-            self.sched(done, Event::MemDone { addr });
+            self.queue.schedule(done, Event::MemDone { addr });
             return Ok(());
         }
 
@@ -3681,7 +3487,7 @@ impl Lane<'_> {
                 .access(now, addr, true);
         }
         for w in waiters {
-            self.sched(now, Event::ToLlc(w));
+            self.queue.schedule(now, Event::ToLlc(w));
         }
         self.llc_replay_set_stalls(now, addr);
     }
@@ -3766,7 +3572,7 @@ impl Lane<'_> {
         if let Some(line) = self.banks[self.cfg.bank_of(addr.0)].array.get_mut(addr.0) {
             let waiters: Vec<Msg> = line.waiters.drain(..).collect();
             for w in waiters {
-                self.sched(now, Event::ToLlc(w));
+                self.queue.schedule(now, Event::ToLlc(w));
             }
         }
         self.llc_replay_set_stalls(now, addr);
@@ -3777,7 +3583,7 @@ impl Lane<'_> {
         let set = self.bank_geom().index_of(addr.0);
         if let Some(stalls) = self.banks[self.cfg.bank_of(addr.0)].set_stalls.remove(&set) {
             for msg in stalls {
-                self.sched(now, Event::ToLlc(msg));
+                self.queue.schedule(now, Event::ToLlc(msg));
             }
         }
     }

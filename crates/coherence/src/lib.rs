@@ -38,13 +38,14 @@
 //! assert_eq!(done.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod config;
 pub mod coverage;
 pub mod hierarchy;
 pub mod metrics;
 pub mod msg;
-mod parallel;
 pub mod protocol;
 mod slab;
 pub mod state;

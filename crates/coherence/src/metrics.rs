@@ -303,26 +303,6 @@ impl ProtocolMetrics {
         })
     }
 
-    /// Merges another run's metrics into this one (for aggregating cores
-    /// or repetitions).
-    pub fn merge(&mut self, other: &ProtocolMetrics) {
-        for (row, orow) in self.l1.iter_mut().zip(&other.l1) {
-            for (cell, ocell) in row.iter_mut().zip(orow) {
-                *cell += ocell;
-            }
-        }
-        for (row, orow) in self.llc.iter_mut().zip(&other.llc) {
-            for (cell, ocell) in row.iter_mut().zip(orow) {
-                *cell += ocell;
-            }
-        }
-        for (h, oh) in self.latency.iter_mut().zip(&other.latency) {
-            h.merge(oh);
-        }
-        self.install_retries += other.install_retries;
-        self.install_stalls += other.install_stalls;
-    }
-
     /// Exports everything into `reg` under `prefix`: non-zero matrix cells
     /// as counters (`{prefix}transitions.l1.{from}->{to}`) and one latency
     /// histogram per class (`{prefix}latency.{class}`, always present so
@@ -504,17 +484,5 @@ mod tests {
             Some(1)
         );
         assert!(j.get("latency").and_then(|l| l.get("GETS_WP")).is_some());
-    }
-
-    #[test]
-    fn merge_adds_cellwise() {
-        let mut a = ProtocolMetrics::default();
-        let mut b = ProtocolMetrics::default();
-        a.record_l1(L1State::I, L1State::IsD);
-        b.record_l1(L1State::I, L1State::IsD);
-        b.record_latency(RequestClass::Gets, 17);
-        a.merge(&b);
-        assert_eq!(a.l1_transitions(L1State::I, L1State::IsD), 2);
-        assert_eq!(a.latency(RequestClass::Gets).count(), 1);
     }
 }

@@ -157,63 +157,6 @@ fn driver_preserves_input_order_under_contention() {
 }
 
 #[test]
-fn parallel_bank_tick_is_thread_count_invariant_at_64_cores() {
-    // The sharded-directory determinism gate: a 64-core machine with 8
-    // address-interleaved directory banks, ticked with 1, 2, and 8
-    // threads inside one simulation, produces bit-identical completions,
-    // full HierarchyStats, and state digest. The parallel stepper
-    // partitions each timestamp bucket by domain (L1s and banks) and
-    // replays the serial merge order exactly, so the thread count can
-    // only change wall-clock, never results.
-    use swiftdir::coherence::{CoreRequest, Hierarchy, HierarchyConfig};
-    use swiftdir::engine::Cycle;
-    use swiftdir::mmu::PhysAddr;
-
-    let sharded =
-        || Hierarchy::new(HierarchyConfig::table_v(64, ProtocolKind::SwiftDir).with_banks(8));
-    let drive = |h: &mut Hierarchy| {
-        let mut t = Cycle(0);
-        let stride = h.config().bank_geometry().size_bytes() / 8;
-        for round in 0..20u64 {
-            for core in 0..64usize {
-                let addr = PhysAddr(0x8_0000 + (round % 32) * stride + (core as u64 % 4) * 64);
-                let req = match (round + core as u64) % 4 {
-                    0 => CoreRequest::store(addr),
-                    1 => CoreRequest::load(addr).write_protected(),
-                    _ => CoreRequest::load(addr),
-                };
-                h.issue(t, core, req);
-                t += Cycle(3);
-            }
-        }
-    };
-
-    let mut serial = sharded();
-    drive(&mut serial);
-    let done_serial = serial.run_until_idle_parallel(1); // threads=1 is the serial path
-    let digest = serial.state_digest();
-    for threads in [2usize, 8] {
-        let mut par = sharded();
-        drive(&mut par);
-        let done_par = par.run_until_idle_parallel(threads);
-        assert_eq!(
-            done_serial, done_par,
-            "completions diverged at {threads} tick threads"
-        );
-        assert_eq!(
-            serial.stats(),
-            par.stats(),
-            "HierarchyStats diverged at {threads} tick threads"
-        );
-        assert_eq!(
-            digest,
-            par.state_digest(),
-            "state digest diverged at {threads} tick threads"
-        );
-    }
-}
-
-#[test]
 fn sharded_fuzz_fan_out_is_thread_count_invariant() {
     // The fuzz fan-out invariance holds with the directory sharded too:
     // 8-core/4-bank adversarial scenarios produce identical digests,
