@@ -15,7 +15,7 @@
 //!    serial vs parallel, asserting the per-seed digests and statistics
 //!    are bit-identical across thread counts.
 //! 4. **Explorer throughput** — coverage-gate-shaped explorations via
-//!    `explore_parallel`, serial vs parallel, asserting the merged
+//!    `explore_campaign`, serial vs parallel, asserting the merged
 //!    reports are bit-identical across thread counts.
 //! 5. **Many-core scale-out** — a 64-core machine with the directory
 //!    sharded into 8 address-interleaved banks, run to quiescence
@@ -47,9 +47,9 @@ use std::time::Instant;
 use sim_engine::{CampaignCounters, Cycle, Json, ProgressSampler};
 use swiftdir_coherence::{CoreRequest, Hierarchy, HierarchyConfig, ProtocolKind};
 use swiftdir_core::{
-    driver, explore_campaign, explore_parallel_threads, run_fuzz_campaign, run_fuzz_many_threads,
-    DriverReport, ExperimentSet, ExploreConfig, ExploreMode, FuzzConfig, ProgressConfig, RunStats,
-    System, SystemConfig, EXPLORE_PHASES, FUZZ_PHASES,
+    driver, explore, explore_campaign, explore_parallel_profiled, run_fuzz,
+    run_fuzz_campaign_resumable, DriverReport, ExperimentSet, ExploreConfig, ExploreMode,
+    FuzzConfig, ProgressConfig, RunStats, System, SystemConfig, EXPLORE_PHASES, FUZZ_PHASES,
 };
 use swiftdir_cpu::CpuModel;
 use swiftdir_mmu::PhysAddr;
@@ -134,14 +134,6 @@ fn measure_single_run(batches: usize, runs_per_batch: usize) -> f64 {
         best_ms = best_ms.min(ms);
     }
     best_ms
-}
-
-/// Worker count for the parallel legs: `SWIFTDIR_THREADS` when set,
-/// else the host's available parallelism. The determinism assertions
-/// are the point on small hosts; the wall-clock gain is the bonus on
-/// real multi-core ones.
-fn parallel_threads() -> usize {
-    driver::default_threads()
 }
 
 /// The host's physical parallelism, independent of `SWIFTDIR_THREADS` —
@@ -242,7 +234,7 @@ fn main() -> ExitCode {
         .collect();
     let sampler = match pcfg.build(CampaignCounters::new(
         "bench",
-        parallel_threads(),
+        driver::default_threads(),
         &all_phases,
     )) {
         Ok(s) => s,
@@ -252,7 +244,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let threads = parallel_threads();
+    let threads = driver::default_threads();
     println!(
         "bench_driver: host has {} core(s), parallel legs use {threads} thread(s)\n",
         host_cores()
@@ -305,13 +297,25 @@ fn main() -> ExitCode {
     // --- fuzz fan-out: serial vs parallel, digests must agree ----------
     let grid = fuzz_grid();
     let start = Instant::now();
-    let fuzz_serial = run_fuzz_many_threads(&grid, 1);
+    let fuzz_serial = ExperimentSet::new(grid.clone()).threads(1).run(run_fuzz);
     let fuzz_serial_s = start.elapsed().as_secs_f64();
     let start = Instant::now();
-    let fuzz_parallel = run_fuzz_campaign(&grid, Some(threads), sampler.as_ref());
+    let fuzz_parallel = run_fuzz_campaign_resumable(
+        &grid,
+        Some(threads),
+        sampler.as_ref(),
+        None,
+        Vec::new(),
+        None,
+    )
+    .expect("a campaign without a checkpoint does no I/O")
+    .reports;
     let fuzz_parallel_s = start.elapsed().as_secs_f64();
     for (a, b) in fuzz_serial.iter().zip(&fuzz_parallel) {
         assert!(a.ok(), "fuzz {:?} failed in the bench harness", a.config);
+        let b = b
+            .as_ref()
+            .expect("every fresh report is kept without a checkpoint");
         assert_eq!(
             (a.digest, a.events, &a.stats),
             (b.digest, b.events, &b.stats),
@@ -334,9 +338,7 @@ fn main() -> ExitCode {
     let start = Instant::now();
     let explore_serial: Vec<_> = workload
         .iter()
-        .map(|(p, stream)| {
-            explore_parallel_threads(&swiftdir_core::diff::tiny_config(2, *p), stream, &ecfg, 1)
-        })
+        .map(|(p, stream)| explore(&swiftdir_core::diff::tiny_config(2, *p), stream, &ecfg))
         .collect();
     let explore_serial_s = start.elapsed().as_secs_f64();
     if let Some(p) = sampler.as_ref() {
@@ -392,14 +394,7 @@ fn main() -> ExitCode {
     let start = Instant::now();
     let explore_fork: Vec<_> = workload
         .iter()
-        .map(|(p, stream)| {
-            explore_parallel_threads(
-                &swiftdir_core::diff::tiny_config(2, *p),
-                stream,
-                &fork_ecfg,
-                1,
-            )
-        })
+        .map(|(p, stream)| explore(&swiftdir_core::diff::tiny_config(2, *p), stream, &fork_ecfg))
         .collect();
     let explore_fork_s = start.elapsed().as_secs_f64();
     for (a, b) in explore_serial.iter().zip(&explore_fork) {
@@ -544,12 +539,12 @@ fn check_committed() -> ExitCode {
         eprintln!("bench_driver --check: no explore.schedules_per_s in BENCH_driver.json");
         return ExitCode::FAILURE;
     };
-    let threads = parallel_threads();
+    let threads = driver::default_threads();
     let ecfg = ExploreConfig::default();
     let mut schedules = 0u64;
     let start = Instant::now();
     for (p, stream) in explore_workload() {
-        let r = explore_parallel_threads(
+        let (r, _) = explore_parallel_profiled(
             &swiftdir_core::diff::tiny_config(2, p),
             &stream,
             &ecfg,

@@ -46,10 +46,15 @@
 //!   so the finished campaign's digest set is bit-identical to an
 //!   uninterrupted run. On resume, coverage soundness is still checked
 //!   over the freshly walked trees (a subset can only observe a subset
-//!   of legal transitions); depth profiles cover fresh trees only.
+//!   of legal transitions); pruning, sleep-set and depth-profile
+//!   figures cover fresh trees only.
 //!
+//! The exploration suite's trees fan over worker threads at one thread
+//! each, and every run, checkpointed or not, ends the suite with one
+//! line: units (fresh and resumed) and the campaign's `digest_set`.
 //! Exits non-zero on any failure.
 
+use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -60,12 +65,12 @@ use swiftdir_core::diff::{
 };
 use swiftdir_core::driver;
 use swiftdir_core::explore::{
-    explore_campaign, explore_parallel, DepthProfile, ExploreConfig, ExploreMode, EXPLORE_PHASES,
+    explore_parallel_profiled, DepthProfile, ExploreConfig, ExploreMode, EXPLORE_PHASES,
 };
-use swiftdir_core::fuzz::{run_fuzz_many, FuzzConfig};
+use swiftdir_core::fuzz::{run_fuzz, FuzzConfig};
 use swiftdir_core::{
-    explore_grid_digest, run_explore_campaign_resumable, CheckpointWriter, CkptHeader, ExploreUnit,
-    ProgressConfig,
+    explore_grid_digest, run_explore_campaign_resumable, CheckpointWriter, CkptHeader,
+    ExperimentSet, ExploreUnit, ProgressConfig,
 };
 
 struct Args {
@@ -85,6 +90,32 @@ struct Args {
     progress: Option<String>,
     checkpoint: Option<String>,
     resume: Option<String>,
+}
+
+impl Args {
+    /// The exploration budgets every suite runs with.
+    fn explore_config(&self) -> ExploreConfig {
+        ExploreConfig {
+            window: self.window,
+            max_depth: self.depth,
+            ..ExploreConfig::default()
+        }
+    }
+
+    /// The suite's (protocol × stream) grid of schedule trees, protocol
+    /// major.
+    fn grid(&self) -> Vec<ExploreUnit> {
+        self.protocols
+            .iter()
+            .flat_map(|&protocol| {
+                let cfg = tiny_config(self.cores, protocol);
+                (0..self.streams).map(move |seed| ExploreUnit {
+                    cfg,
+                    stream: contended_stream(seed, self.cores, self.blocks, self.ops, 0.3),
+                })
+            })
+            .collect()
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -178,23 +209,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let mut campaign_profile = DepthProfile::default();
-        if args.checkpoint.is_some() || args.resume.is_some() {
-            failed |= !explore_suite_checkpointed(&args, sampler.as_ref());
-            if let Some(s) = &sampler {
-                s.finish();
-            }
-        } else {
-            failed |= !explore_suite(&args, sampler.as_ref(), &mut campaign_profile);
-            if let Some(s) = &sampler {
-                // Fold the campaign-wide depth profile into the final
-                // heartbeat so `--depth-profile` data rides every stream.
-                s.finish_with_extra(vec![(
-                    "depth_profile".to_string(),
-                    campaign_profile.to_json(),
-                )]);
-            }
-        }
+        failed |= !explore_suite(&args, sampler.as_ref());
         if args.diff || args.smoke {
             failed |= !differential_suite(&args);
         }
@@ -213,45 +228,83 @@ fn main() -> ExitCode {
 }
 
 /// Per-protocol bounded-exhaustive exploration over seeded contended
-/// streams. Returns false on any error or truncation. Merges every
-/// tree's depth profile into `campaign_profile`.
-fn explore_suite(
-    args: &Args,
-    sampler: Option<&Arc<ProgressSampler>>,
-    campaign_profile: &mut DepthProfile,
-) -> bool {
-    let ecfg = ExploreConfig {
-        window: args.window,
-        max_depth: args.depth,
-        ..ExploreConfig::default()
+/// streams, one campaign unit per schedule tree. Returns false on any
+/// error, truncation, or illegal transition.
+///
+/// With `--checkpoint` / `--resume`, every completed tree is journaled
+/// before it is acknowledged and previously journaled trees are
+/// skipped. Pruning, sleep-set, coverage and depth-profile figures then
+/// cover the freshly walked trees only: a subset of trees can only show
+/// a subset of the legal transitions, so coverage soundness (nothing
+/// illegal) stays checkable while completeness is the coverage gate's
+/// job. The final line's digest set is the value a kill/resume sequence
+/// must reproduce bit for bit.
+fn explore_suite(args: &Args, sampler: Option<&Arc<ProgressSampler>>) -> bool {
+    let ecfg = args.explore_config();
+    let grid = args.grid();
+    let path = args.resume.as_deref().or(args.checkpoint.as_deref());
+    let (mut writer, resumed_units) = match path {
+        None => (None, Vec::new()),
+        Some(path) => {
+            let header = CkptHeader {
+                kind: "explore".to_string(),
+                campaign: "explore".to_string(),
+                config_digest: explore_grid_digest(&grid, &ecfg),
+                total: grid.len() as u64,
+            };
+            let opened = if args.resume.is_some() {
+                CheckpointWriter::resume(Path::new(path), &header)
+            } else {
+                CheckpointWriter::create(Path::new(path), &header).map(|w| (w, Vec::new()))
+            };
+            match opened {
+                Ok((w, units)) => (Some(w), units),
+                Err(e) => {
+                    eprintln!("swiftdir-explore: checkpoint {path}: {e}");
+                    return false;
+                }
+            }
+        }
     };
-    if let Some(p) = sampler {
-        p.counters()
-            .add_total(args.protocols.len() as u64 * args.streams);
-    }
-    let wp_fraction = 0.3;
+    let outcome = match run_explore_campaign_resumable(
+        &grid,
+        &ecfg,
+        None,
+        sampler,
+        writer.as_mut(),
+        resumed_units,
+        None,
+    ) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("swiftdir-explore: checkpoint {}: {e}", path.unwrap_or("-"));
+            return false;
+        }
+    };
+
+    // No cancel token: every unit completed, so `units` is the grid.
     let mut ok = true;
-    for &protocol in &args.protocols {
-        let cfg = tiny_config(args.cores, protocol);
-        let mut schedules = 0u64;
-        let mut steps = 0u64;
-        let mut pruned = 0u64;
-        let mut skipped = 0u64;
+    let mut campaign_profile = DepthProfile::default();
+    for (pi, &protocol) in args.protocols.iter().enumerate() {
+        let (mut schedules, mut steps, mut pruned, mut skipped) = (0u64, 0u64, 0u64, 0u64);
         let mut coverage = ObservedCoverage::new();
         let mut profile = DepthProfile::default();
         for seed in 0..args.streams {
-            let stream = contended_stream(seed, args.cores, args.blocks, args.ops, wp_fraction);
-            let (report, p) =
-                explore_campaign(&cfg, &stream, &ecfg, driver::default_threads(), sampler);
-            profile.merge(&p);
-            if let Some(p) = sampler {
-                p.counters().add_done(1);
-                p.tick();
-            }
+            let idx = pi * args.streams as usize + seed as usize;
+            let unit = &outcome.units[idx];
+            schedules += unit.schedules;
+            steps += unit.steps;
+            let Some((report, p)) = &outcome.reports[idx] else {
+                if let Some(f) = &unit.failure {
+                    eprintln!("FAIL {protocol:?} stream {seed}: {f}");
+                    ok = false;
+                }
+                continue;
+            };
+            profile.merge(p);
             if let Some(e) = &report.error {
                 eprintln!("FAIL {protocol:?} stream {seed}: {e}");
                 ok = false;
-                continue;
             }
             if report.truncated {
                 eprintln!(
@@ -259,10 +312,7 @@ fn explore_suite(
                      raise --depth or shrink the scenario"
                 );
                 ok = false;
-                continue;
             }
-            schedules += report.schedules;
-            steps += report.steps;
             pruned += report.pruned;
             skipped += report.sleep_skipped;
             coverage.merge(&report.coverage);
@@ -287,113 +337,13 @@ fn explore_suite(
         }
         campaign_profile.merge(&profile);
     }
-    ok
-}
-
-/// The durable exploration path behind `--checkpoint` / `--resume`:
-/// the same (protocol × stream) grid as [`explore_suite`], with every
-/// completed tree journaled before it is acknowledged. Prints the
-/// final digest set — the value a kill/resume sequence must reproduce
-/// bit for bit.
-fn explore_suite_checkpointed(args: &Args, sampler: Option<&Arc<ProgressSampler>>) -> bool {
-    let ecfg = ExploreConfig {
-        window: args.window,
-        max_depth: args.depth,
-        ..ExploreConfig::default()
-    };
-    let wp_fraction = 0.3;
-    let grid: Vec<ExploreUnit> = args
-        .protocols
-        .iter()
-        .flat_map(|&protocol| {
-            let cfg = tiny_config(args.cores, protocol);
-            (0..args.streams).map(move |seed| ExploreUnit {
-                cfg,
-                stream: contended_stream(seed, args.cores, args.blocks, args.ops, wp_fraction),
-            })
-        })
-        .collect();
-    let path = args
-        .resume
-        .as_deref()
-        .or(args.checkpoint.as_deref())
-        .expect("caller checked");
-    let header = CkptHeader {
-        kind: "explore".to_string(),
-        campaign: "explore".to_string(),
-        config_digest: explore_grid_digest(&grid, &ecfg),
-        total: grid.len() as u64,
-    };
-    let opened = if args.resume.is_some() {
-        CheckpointWriter::resume(std::path::Path::new(path), &header)
-    } else {
-        CheckpointWriter::create(std::path::Path::new(path), &header).map(|w| (w, Vec::new()))
-    };
-    let (mut writer, resumed_units) = match opened {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("swiftdir-explore: checkpoint {path}: {e}");
-            return false;
-        }
-    };
-    let outcome = match run_explore_campaign_resumable(
-        &grid,
-        &ecfg,
-        None,
-        sampler,
-        Some(&mut writer),
-        resumed_units,
-        None,
-    ) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("swiftdir-explore: checkpoint {path}: {e}");
-            return false;
-        }
-    };
-
-    let mut ok = true;
-    for unit in &outcome.units {
-        if let Some(f) = &unit.failure {
-            eprintln!("FAIL explore unit {}: {f}", unit.index);
-            ok = false;
-        }
-    }
-    // Coverage soundness over the freshly walked trees, per protocol.
-    // A resumed campaign only re-observes a subset of trees, which can
-    // only show a subset of the legal transitions — soundness (nothing
-    // illegal) stays checkable; completeness is the coverage gate's
-    // job, not this path's.
-    for (pi, &protocol) in args.protocols.iter().enumerate() {
-        let mut coverage = ObservedCoverage::new();
-        let (mut schedules, mut steps, mut fresh) = (0u64, 0u64, 0u64);
-        for seed in 0..args.streams {
-            let idx = pi as u64 * args.streams + seed;
-            if let Some(report) = &outcome.reports[idx as usize] {
-                fresh += 1;
-                coverage.merge(&report.coverage);
-                if report.truncated {
-                    eprintln!(
-                        "FAIL {protocol:?} stream {seed}: truncated (not exhaustive); \
-                         raise --depth or shrink the scenario"
-                    );
-                    ok = false;
-                }
-            }
-            if let Some(u) = outcome.units.iter().find(|u| u.index == idx) {
-                schedules += u.schedules;
-                steps += u.steps;
-            }
-        }
-        let report = CoverageSpec::for_protocol(protocol).check(&coverage);
-        if !report.is_sound() {
-            eprintln!("FAIL {protocol:?}: exploration observed illegal transitions\n{report}");
-            ok = false;
-        }
-        println!(
-            "{protocol:?}: {} streams ({fresh} fresh), {schedules} schedules, {steps} steps",
-            args.streams
-        );
+    if let Some(s) = sampler {
+        // Fold the campaign-wide depth profile into the final heartbeat
+        // so `--depth-profile` data rides every stream.
+        s.finish_with_extra(vec![(
+            "depth_profile".to_string(),
+            campaign_profile.to_json(),
+        )]);
     }
     println!(
         "swiftdir-explore: {} units ({} fresh, {} resumed), digest_set {:#018x}",
@@ -402,42 +352,39 @@ fn explore_suite_checkpointed(args: &Args, sampler: Option<&Arc<ProgressSampler>
         outcome.resumed,
         outcome.digest_set_fnv()
     );
-    ok && outcome.complete()
+    ok
 }
 
 /// The walker oracle: the snapshot-free undo-log explorer and the
 /// fork-based explorer must produce whole-report-identical results on
 /// every stream of the suite, for every protocol.
 fn oracle_suite(args: &Args) -> bool {
-    let undo_ecfg = ExploreConfig {
-        window: args.window,
-        max_depth: args.depth,
-        ..ExploreConfig::default()
-    };
+    let undo_ecfg = args.explore_config();
     let fork_ecfg = ExploreConfig {
         mode: ExploreMode::Fork,
         ..undo_ecfg
     };
-    let wp_fraction = 0.3;
+    let threads = driver::default_threads();
     let mut ok = true;
     let mut schedules = 0u64;
-    for &protocol in &args.protocols {
-        let cfg = tiny_config(args.cores, protocol);
-        for seed in 0..args.streams {
-            let stream = contended_stream(seed, args.cores, args.blocks, args.ops, wp_fraction);
-            let undo = explore_parallel(&cfg, &stream, &undo_ecfg);
-            let fork = explore_parallel(&cfg, &stream, &fork_ecfg);
-            if undo != fork {
-                eprintln!(
-                    "FAIL oracle {protocol:?} stream {seed}: undo-log and fork walkers \
-                     diverged (undo {} schedules / {} steps, fork {} schedules / {} steps)",
-                    undo.schedules, undo.steps, fork.schedules, fork.steps
-                );
-                ok = false;
-                continue;
-            }
-            schedules += undo.schedules;
+    for (i, u) in args.grid().iter().enumerate() {
+        let (undo, _) = explore_parallel_profiled(&u.cfg, &u.stream, &undo_ecfg, threads);
+        let (fork, _) = explore_parallel_profiled(&u.cfg, &u.stream, &fork_ecfg, threads);
+        if undo != fork {
+            eprintln!(
+                "FAIL oracle {:?} stream {}: undo-log and fork walkers \
+                 diverged (undo {} schedules / {} steps, fork {} schedules / {} steps)",
+                u.cfg.protocol,
+                i as u64 % args.streams,
+                undo.schedules,
+                undo.steps,
+                fork.schedules,
+                fork.steps
+            );
+            ok = false;
+            continue;
         }
+        schedules += undo.schedules;
     }
     if ok {
         println!(
@@ -463,11 +410,7 @@ fn differential_suite(args: &Args) -> bool {
             ok = false;
         }
     }
-    let ecfg = ExploreConfig {
-        window: args.window,
-        max_depth: args.depth,
-        ..ExploreConfig::default()
-    };
+    let ecfg = args.explore_config();
     let mut schedules = 0u64;
     for seed in 0..4 {
         let stream = contended_stream(seed, 2, 2, 5, 0.0);
@@ -491,11 +434,7 @@ fn differential_suite(args: &Args) -> bool {
 /// The CI coverage gate: explorer coverage plus a fuzz sweep must cover
 /// every legal Table I–III transition per protocol, and nothing else.
 fn coverage_gate(args: &Args) -> bool {
-    let ecfg = ExploreConfig {
-        window: args.window,
-        max_depth: args.depth,
-        ..ExploreConfig::default()
-    };
+    let ecfg = args.explore_config();
     let mut ok = true;
     for &protocol in &args.protocols {
         let mut observed = ObservedCoverage::new();
@@ -504,7 +443,8 @@ fn coverage_gate(args: &Args) -> bool {
         let cfg = tiny_config(2, protocol);
         for seed in 0..4 {
             let stream = contended_stream(seed, 2, 2, 5, 0.3);
-            let report = explore_parallel(&cfg, &stream, &ecfg);
+            let (report, _) =
+                explore_parallel_profiled(&cfg, &stream, &ecfg, driver::default_threads());
             if let Some(e) = &report.error {
                 eprintln!("FAIL {protocol:?} explorer stream {seed}: {e}");
                 ok = false;
@@ -527,7 +467,8 @@ fn coverage_gate(args: &Args) -> bool {
                 [cfg, hot]
             })
             .collect();
-        for (cfg, report) in sweep.iter().zip(run_fuzz_many(&sweep)) {
+        let reports = ExperimentSet::new(sweep.clone()).run(run_fuzz);
+        for (cfg, report) in sweep.iter().zip(reports) {
             if let Some(f) = report.failure {
                 let hot = if cfg.blocks == 2 { " hot" } else { "" };
                 eprintln!("FAIL {protocol:?} fuzz{hot} seed {}: {f}", cfg.seed);

@@ -22,9 +22,10 @@
 //!   power of two); `--banks` scales the block set so every bank stays
 //!   contended.
 //! * `--smoke` — the CI configuration: 25 seeds, 150 ops each.
-//! * `--minimize` — on failure, shrink the failing scenario: first the
-//!   scenario knobs, then the concrete access stream (delta-debugging),
-//!   and write the minimal repro to `swiftdir-fuzz-min-<proto>-<seed>.stream`.
+//! * `--minimize` — shrink every failing scenario, fresh or resumed from
+//!   a journal: first the scenario knobs, then the concrete access stream
+//!   (delta-debugging), and write the minimal repro to
+//!   `swiftdir-fuzz-min-<proto>-<seed>.stream`.
 //! * `--replay FILE` — replay a `.stream` repro written by `--minimize`
 //!   (or by hand) instead of fuzzing; exits non-zero if it still fails.
 //! * `--progress FILE|-` — stream `swiftdir.progress.v1` heartbeats
@@ -44,24 +45,25 @@
 //!   `--progress FILE`, the heartbeat stream is repaired and continued
 //!   too (the first new record carries `"resumed": true`).
 //!
-//! Exits non-zero if any seed fails. Every failure line carries the
-//! exact `FuzzConfig` needed to replay it bit-for-bit, and `--minimize`
-//! additionally leaves a generator-independent op-for-op repro on disk.
+//! Every run, checkpointed or not, ends with one summary line: units
+//! (fresh and resumed), events, failures, and the campaign's
+//! `digest_set`. Exits non-zero if any seed fails. Every failure line
+//! carries the exact `FuzzConfig` needed to replay it bit-for-bit, and
+//! `--minimize` additionally leaves a generator-independent op-for-op
+//! repro on disk.
 
+use std::path::Path;
 use std::process::ExitCode;
+use std::sync::Arc;
 
+use sim_engine::{CampaignCounters, ProgressSampler};
 use swiftdir_coherence::ProtocolKind;
-use swiftdir_core::fuzz::{
-    minimize, minimize_stream, replay, run_fuzz, run_fuzz_campaign, FuzzConfig, FUZZ_PHASES,
-};
+use swiftdir_core::fuzz::{minimize, minimize_stream, replay, run_fuzz, FuzzConfig, FUZZ_PHASES};
 use swiftdir_core::stream::StreamFile;
 use swiftdir_core::{
     default_threads, fuzz_grid_digest, run_fuzz_campaign_resumable, CheckpointWriter, CkptHeader,
     ProgressConfig,
 };
-
-use sim_engine::CampaignCounters;
-use std::path::Path;
 
 const ALL_PROTOCOLS: [ProtocolKind; 4] = [
     ProtocolKind::Msi,
@@ -162,9 +164,9 @@ fn main() -> ExitCode {
     };
 
     // The (protocol, seed) grid is embarrassingly parallel: fan it over
-    // the experiment driver (`SWIFTDIR_THREADS` / host parallelism).
-    // Reports come back in grid order, so the output — including the
-    // failure lines — is identical to the old serial loop.
+    // the driver's pool (`SWIFTDIR_THREADS` / host parallelism). Units
+    // are sorted back into grid order, so the output — including the
+    // failure lines — is independent of the thread count.
     let grid: Vec<FuzzConfig> = args
         .protocols
         .iter()
@@ -209,104 +211,50 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.checkpoint.is_some() || args.resume.is_some() {
-        return checkpointed_campaign(&args, &grid, sampler.as_ref());
-    }
-    let reports = run_fuzz_campaign(&grid, None, sampler.as_ref());
-    if let Some(s) = &sampler {
-        s.finish();
-    }
-
-    let runs = reports.len() as u64;
-    let mut events = 0u64;
-    let mut failures = 0u64;
-    for (cfg, report) in grid.iter().zip(&reports) {
-        events += report.events;
-        if let Some(failure) = &report.failure {
-            let (protocol, seed) = (cfg.protocol, cfg.seed);
-            failures += 1;
-            eprintln!("FAIL {protocol:?} seed {seed}: {failure}");
-            eprintln!("  replay: {cfg:?}");
-            if args.do_minimize {
-                let small = minimize(cfg);
-                let small_report = run_fuzz(&small);
-                eprintln!("  minimized: {small:?}");
-                if let Some(f) = small_report.failure {
-                    eprintln!("  minimized failure: {f}");
-                }
-                // Delta-debug the concrete access stream and leave a
-                // generator-independent repro on disk.
-                let stream = minimize_stream(&small.stream_file(), None);
-                let path = format!(
-                    "swiftdir-fuzz-min-{}-{seed}.stream",
-                    format!("{protocol:?}").to_ascii_lowercase()
-                );
-                match std::fs::write(&path, stream.to_text()) {
-                    Ok(()) => eprintln!(
-                        "  minimal repro: {} ops -> {path} (replay with --replay {path})",
-                        stream.ops.len()
-                    ),
-                    Err(e) => eprintln!("  could not write {path}: {e}"),
-                }
-            }
-        }
-    }
-
-    println!(
-        "swiftdir-fuzz: {runs} runs ({} protocols x {} seeds), {events} events, {failures} failures",
-        args.protocols.len(),
-        seeds.len(),
-    );
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    campaign(&args, &grid, sampler.as_ref())
 }
 
-/// The durable campaign path behind `--checkpoint` / `--resume`: every
-/// completed seed is journaled before it is acknowledged, previously
-/// journaled seeds are skipped, and the final digest set is printed —
-/// the value a kill/resume sequence must reproduce bit for bit.
-fn checkpointed_campaign(
-    args: &Args,
-    grid: &[FuzzConfig],
-    sampler: Option<&std::sync::Arc<sim_engine::ProgressSampler>>,
-) -> ExitCode {
-    let path = args
-        .resume
-        .as_deref()
-        .or(args.checkpoint.as_deref())
-        .expect("caller checked");
-    let header = CkptHeader {
-        kind: "fuzz".to_string(),
-        campaign: "fuzz".to_string(),
-        config_digest: fuzz_grid_digest(grid),
-        total: grid.len() as u64,
-    };
-    let opened = if args.resume.is_some() {
-        CheckpointWriter::resume(Path::new(path), &header)
-    } else {
-        CheckpointWriter::create(Path::new(path), &header).map(|w| (w, Vec::new()))
-    };
-    let (mut writer, resumed_units) = match opened {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("swiftdir-fuzz: checkpoint {path}: {e}");
-            return ExitCode::FAILURE;
+/// The campaign: fans the grid over the driver and prints every
+/// failure, then a final line with the digest set. With `--checkpoint`
+/// / `--resume`, every completed seed is journaled before it is
+/// acknowledged and previously journaled seeds are skipped; the digest
+/// set is the value a kill/resume sequence must reproduce bit for bit.
+fn campaign(args: &Args, grid: &[FuzzConfig], sampler: Option<&Arc<ProgressSampler>>) -> ExitCode {
+    let path = args.resume.as_deref().or(args.checkpoint.as_deref());
+    let (mut writer, resumed_units) = match path {
+        None => (None, Vec::new()),
+        Some(path) => {
+            let header = CkptHeader {
+                kind: "fuzz".to_string(),
+                campaign: "fuzz".to_string(),
+                config_digest: fuzz_grid_digest(grid),
+                total: grid.len() as u64,
+            };
+            let opened = if args.resume.is_some() {
+                CheckpointWriter::resume(Path::new(path), &header)
+            } else {
+                CheckpointWriter::create(Path::new(path), &header).map(|w| (w, Vec::new()))
+            };
+            match opened {
+                Ok((w, units)) => (Some(w), units),
+                Err(e) => {
+                    eprintln!("swiftdir-fuzz: checkpoint {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
     };
     let outcome = match run_fuzz_campaign_resumable(
         grid,
         None,
         sampler,
-        Some(&mut writer),
+        writer.as_mut(),
         resumed_units,
         None,
     ) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("swiftdir-fuzz: checkpoint {path}: {e}");
+            eprintln!("swiftdir-fuzz: checkpoint {}: {e}", path.unwrap_or("-"));
             return ExitCode::FAILURE;
         }
     };
@@ -318,14 +266,39 @@ fn checkpointed_campaign(
     let mut events = 0u64;
     for unit in &outcome.units {
         events += unit.events;
-        if let Some(f) = &unit.failure {
-            failures += 1;
-            let cfg = &grid[unit.index as usize];
-            eprintln!("FAIL {:?} seed {}: {f}", cfg.protocol, cfg.seed);
-            eprintln!("  replay: {cfg:?}");
-            if args.do_minimize && outcome.reports[unit.index as usize].is_some() {
-                let small = minimize(cfg);
-                eprintln!("  minimized: {small:?}");
+        let Some(journaled) = &unit.failure else {
+            continue;
+        };
+        failures += 1;
+        let cfg = &grid[unit.index as usize];
+        let (protocol, seed) = (cfg.protocol, cfg.seed);
+        // A fresh failure prints in full, traced history included; a
+        // resumed one only has its journaled first line.
+        let fresh = outcome.reports[unit.index as usize].as_ref();
+        match fresh.and_then(|r| r.failure.as_ref()) {
+            Some(failure) => eprintln!("FAIL {protocol:?} seed {seed}: {failure}"),
+            None => eprintln!("FAIL {protocol:?} seed {seed}: {journaled}"),
+        }
+        eprintln!("  replay: {cfg:?}");
+        if args.do_minimize {
+            let small = minimize(cfg);
+            eprintln!("  minimized: {small:?}");
+            if let Some(f) = run_fuzz(&small).failure {
+                eprintln!("  minimized failure: {f}");
+            }
+            // Delta-debug the concrete access stream and leave a
+            // generator-independent repro on disk.
+            let stream = minimize_stream(&small.stream_file(), None);
+            let path = format!(
+                "swiftdir-fuzz-min-{}-{seed}.stream",
+                format!("{protocol:?}").to_ascii_lowercase()
+            );
+            match std::fs::write(&path, stream.to_text()) {
+                Ok(()) => eprintln!(
+                    "  minimal repro: {} ops -> {path} (replay with --replay {path})",
+                    stream.ops.len()
+                ),
+                Err(e) => eprintln!("  could not write {path}: {e}"),
             }
         }
     }

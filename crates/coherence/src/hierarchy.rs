@@ -591,8 +591,9 @@ type FrontierItem = (u64, (u8, u64, u64), u64, u64);
 /// The coherent two-level hierarchy.
 ///
 /// Cores [`issue`](Hierarchy::issue) timed requests; the hierarchy is
-/// advanced either to a deadline with [`tick`](Hierarchy::tick) (for
-/// co-simulation with CPU models) or to quiescence with
+/// advanced either to a deadline with
+/// [`try_tick_into`](Hierarchy::try_tick_into) (for co-simulation with
+/// CPU models) or to quiescence with
 /// [`run_until_idle`](Hierarchy::run_until_idle). Completed requests are
 /// returned as [`Completion`]s carrying latency and classification.
 #[derive(Debug)]
@@ -783,36 +784,20 @@ impl Hierarchy {
         self.queue.peek_time()
     }
 
-    /// Processes all events with timestamp ≤ `upto`; returns completions
-    /// produced in that window.
+    /// Processes all events with timestamp ≤ `upto`, appending the
+    /// window's completions to `out` (the buffer keeps its capacity
+    /// across batches — the simulation main loop calls this once per
+    /// distinct event time).
     ///
     /// Events are drained one timestamp at a time via
     /// [`EventQueue::pop_batch`]: one heap operation per distinct cycle
     /// instead of a peek/pop pair per event, with dispatch order identical
     /// to the one-at-a-time loop.
-    pub fn tick(&mut self, upto: Cycle) -> Vec<Completion> {
-        self.try_tick(upto).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Buffer-reusing [`tick`](Hierarchy::tick): appends the window's
-    /// completions to `out` instead of returning a fresh vector, so the
-    /// internal completion buffer keeps its capacity across batches.
-    /// This is the simulation main loop's variant — one `tick` per
-    /// distinct event time means the returning-vector form reallocates
-    /// on every batch.
-    pub fn tick_into(&mut self, upto: Cycle, out: &mut Vec<Completion>) {
-        if let Err(e) = self.try_tick_into(upto, out) {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`tick_into`](Hierarchy::tick_into).
     ///
     /// # Errors
     ///
     /// The first illegal protocol event encountered; completions from
-    /// the partial window stay queued internally, as with
-    /// [`try_tick`](Hierarchy::try_tick).
+    /// the partial window stay queued internally.
     pub fn try_tick_into(
         &mut self,
         upto: Cycle,
@@ -837,19 +822,6 @@ impl Hierarchy {
                 Ok(())
             }
         }
-    }
-
-    /// Fallible [`tick`](Hierarchy::tick): returns the [`ProtocolError`]
-    /// instead of panicking when a controller receives a message its state
-    /// machine has no transition for.
-    ///
-    /// # Errors
-    ///
-    /// The first illegal protocol event encountered.
-    pub fn try_tick(&mut self, upto: Cycle) -> Result<Vec<Completion>, Box<ProtocolError>> {
-        let mut out = Vec::new();
-        self.try_tick_into(upto, &mut out)?;
-        Ok(out)
     }
 
     /// Processes the single next event, if any; returns its timestamp.
@@ -1210,7 +1182,7 @@ impl Hierarchy {
     /// Also switches every cache array into journaling mode (their line
     /// mutations are rolled back per-set rather than copied wholesale).
     /// Undo only reverses *stepping*; interleaving [`issue`](Self::issue),
-    /// [`tick`](Self::tick), or [`run_until_idle`](Self::run_until_idle)
+    /// [`try_tick_into`](Self::try_tick_into), or [`run_until_idle`](Self::run_until_idle)
     /// with marked steps is unsupported. The tracer is not rewound —
     /// exploration runs with tracing disabled.
     pub fn enable_undo(&mut self) {

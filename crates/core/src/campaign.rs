@@ -1,15 +1,15 @@
 //! Resumable, cancellable campaign execution over work-unit grids.
 //!
 //! [`run_fuzz_campaign_resumable`] and [`run_explore_campaign_resumable`]
-//! lift the batch fan-outs (`run_fuzz_many`, `explore_parallel`) into
-//! **streaming** work-unit runners: workers claim grid indices by atomic
-//! counter exactly as [`ExperimentSet`](crate::ExperimentSet) does, but
-//! finished results flow back over a *bounded* channel to a collector on
-//! the calling thread, which journals each one to a
-//! [`CheckpointWriter`] before acknowledging it. The bound is the
-//! backpressure policy: when the journal (disk) is slower than the
-//! workers, senders block on the channel instead of buffering unbounded
-//! reports in memory.
+//! are the only fuzz/explore campaign runners, and the checkpoint is an
+//! option, not a second path. Both run one body on the driver's work
+//! pool: workers claim grid indices by atomic counter exactly as
+//! [`ExperimentSet`](crate::ExperimentSet) does, and finished results
+//! flow back over a *bounded* channel to a collector on the calling
+//! thread, which journals each one to a [`CheckpointWriter`] (if any)
+//! before acknowledging it. The bound is the backpressure policy: when
+//! the journal (disk) is slower than the workers, senders block on the
+//! channel instead of buffering unbounded reports in memory.
 //!
 //! Determinism under resume: every work unit is self-contained and
 //! seeded, so *which process* runs it — and at what thread count, in
@@ -25,15 +25,15 @@
 //! stops claiming new ones — exactly the state a resume picks up from.
 
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use sim_engine::{FxHashSet, ProgressSampler};
 use swiftdir_coherence::HierarchyConfig;
 
 use crate::ckpt::{digest_set_fnv, CheckpointWriter, Fnv, UnitRecord};
 use crate::driver::{self, observed};
-use crate::explore::{explore_campaign, ExploreConfig};
+use crate::explore::{explore_campaign, DepthProfile, ExploreConfig, ExploreReport};
 use crate::fuzz::{run_fuzz_observed, FuzzConfig, FuzzReport};
 use crate::stream::AccessOp;
 
@@ -62,14 +62,15 @@ impl CancelToken {
 #[derive(Debug)]
 pub struct CampaignOutcome<R> {
     /// Freshly computed reports in grid order; `None` for units skipped
-    /// via the checkpoint or never claimed before cancellation. The
-    /// fuzz runner additionally drops *clean* fresh reports (a
-    /// [`FuzzReport`] retains full hierarchy statistics, ~100 KB — a
-    /// million-seed soak must not hold them all), so a fuzz entry is
-    /// `Some` exactly for fresh **failing** units; everything a clean
-    /// unit contributes survives in its [`UnitRecord`]. The explore
-    /// runner keeps every fresh report (grids are small and the
-    /// coverage gate unions their transition matrices).
+    /// via the checkpoint or never claimed before cancellation. Without
+    /// a checkpoint writer every fresh report is kept. With one, the
+    /// fuzz runner drops *clean* fresh reports (a [`FuzzReport`] retains
+    /// full hierarchy statistics, ~100 KB — a million-seed soak must not
+    /// hold them all), so a journaled fuzz entry is `Some` exactly for
+    /// fresh **failing** units; everything a clean unit contributes
+    /// survives in its [`UnitRecord`]. The explore runner keeps every
+    /// fresh report (grids are small and the coverage gate unions their
+    /// transition matrices).
     pub reports: Vec<Option<R>>,
     /// Every *completed* unit — resumed and fresh — sorted by index.
     pub units: Vec<UnitRecord>,
@@ -99,15 +100,20 @@ impl<R> CampaignOutcome<R> {
     }
 }
 
-/// [`run_fuzz_campaign`](crate::run_fuzz_campaign) with durability:
-/// units already present in `resumed_units` (loaded from a
-/// [`Checkpoint`](crate::ckpt::Checkpoint)) are skipped, every freshly
-/// finished unit is journaled through `writer` before the campaign
-/// acknowledges it, and `cancel` stops the claim loop between units.
+/// Runs a fuzz grid as a campaign: units already present in
+/// `resumed_units` (loaded from a [`Checkpoint`](crate::ckpt::Checkpoint))
+/// are skipped, every freshly finished unit is journaled through
+/// `writer` (if any) before the campaign acknowledges it, and `cancel`
+/// stops the claim loop between units.
 ///
-/// Telemetry: the sampler (if any) is pre-seeded with the resumed
-/// units' done/event counts, so a resumed heartbeat stream continues
-/// monotonically from where the killed run stopped.
+/// With a sampler attached, each worker publishes per-seed progress
+/// (done counts, event deltas, [`FUZZ_PHASES`](crate::FUZZ_PHASES)
+/// spans, slab/trace-ring gauges) and heartbeats stream at the
+/// sampler's interval; a resumed campaign's sampler is pre-seeded with
+/// the resumed units' done/event counts, so its heartbeat stream
+/// continues monotonically from where the killed run stopped.
+/// Telemetry is strictly passive: reports are bit-identical to a
+/// samplerless run at every thread count.
 pub fn run_fuzz_campaign_resumable(
     grid: &[FuzzConfig],
     threads: Option<usize>,
@@ -116,77 +122,34 @@ pub fn run_fuzz_campaign_resumable(
     resumed_units: Vec<UnitRecord>,
     cancel: Option<&CancelToken>,
 ) -> io::Result<CampaignOutcome<FuzzReport>> {
-    // Units outside the grid would mean a mismatched journal; the
-    // config-digest check upstream prevents that, but stay defensive.
-    let resumed: Vec<UnitRecord> = resumed_units
-        .into_iter()
-        .filter(|u| (u.index as usize) < grid.len())
-        .collect();
-    if let Some(p) = progress {
-        let c = p.counters();
-        c.add_total(grid.len() as u64);
-        c.add_done(resumed.len() as u64);
-        c.add_events(resumed.iter().map(|u| u.events).sum());
-    }
-    let pending = pending_indices(grid.len(), &resumed);
-    let workers = threads
-        .unwrap_or_else(driver::default_threads)
-        .min(pending.len().max(1));
-
-    let mut reports: Vec<Option<FuzzReport>> = Vec::with_capacity(grid.len());
-    reports.resize_with(grid.len(), || None);
-    let resumed_count = resumed.len();
-    let mut units = resumed;
-    let mut fresh = 0usize;
-    let mut writer = writer;
-
+    let keep_clean = writer.is_none();
     let pr = progress.map(Arc::as_ref);
-    let run = |w: usize, idx: usize| {
-        let report = observed(pr, w, || run_fuzz_observed(&grid[idx], pr));
-        if let Some(p) = pr {
-            p.counters().add_done(1);
-        }
-        report
-    };
-    let collect = |idx: usize, report: FuzzReport| -> io::Result<()> {
-        let unit = UnitRecord {
-            index: idx as u64,
-            digest: report.digest,
-            events: report.events,
-            completions: report.completions as u64,
-            failure: report.failure.as_ref().map(|f| {
-                format!(
-                    "{}: {}",
-                    f.kind,
-                    f.detail.lines().next().unwrap_or_default()
-                )
-            }),
-            ..UnitRecord::default()
-        };
-        if let Some(w) = writer.as_deref_mut() {
-            w.record(&unit)?;
-        }
-        units.push(unit);
-        // Bounded memory over million-seed soaks: the ~100 KB of
-        // hierarchy statistics in a clean report is never read again
-        // (its digest/events/completions live on in the unit record),
-        // so only failing reports are kept for the minimizer.
-        if report.failure.is_some() {
-            reports[idx] = Some(report);
-        }
-        fresh += 1;
-        Ok(())
-    };
-    let cancelled = stream_pending(&pending, workers, cancel, run, collect)?;
-
-    units.sort_by_key(|u| u.index);
-    Ok(CampaignOutcome {
-        reports,
-        units,
-        resumed: resumed_count,
-        fresh,
-        cancelled,
-    })
+    run_campaign(
+        grid.len(),
+        threads,
+        progress,
+        writer,
+        resumed_units,
+        cancel,
+        |idx| {
+            let report = run_fuzz_observed(&grid[idx], pr);
+            let unit = UnitRecord {
+                index: idx as u64,
+                digest: report.digest,
+                events: report.events,
+                completions: report.completions as u64,
+                failure: report.failure.as_ref().map(|f| {
+                    format!(
+                        "{}: {}",
+                        f.kind,
+                        f.detail.lines().next().unwrap_or_default()
+                    )
+                }),
+                ..UnitRecord::default()
+            };
+            (unit, Some(report).filter(|r| keep_clean || !r.ok()))
+        },
+    )
 }
 
 /// One explore work unit: a hierarchy configuration plus the concrete
@@ -228,10 +191,10 @@ pub fn explore_grid_digest(units: &[ExploreUnit], ecfg: &ExploreConfig) -> u64 {
 /// The explore analogue of [`run_fuzz_campaign_resumable`]: each unit's
 /// schedule tree is walked with the unit-internal decomposition at one
 /// thread (the report is thread-count invariant by construction, so
-/// this loses nothing), and units fan over the worker pool. Completed
-/// trees are journaled with their [`ExploreReport::digest`]
-/// (`crate::ExploreReport::digest`), schedule/step counters, and
-/// boundary-task ledger.
+/// this loses nothing), and units fan over the worker pool. Each fresh
+/// report comes with its tree's [`DepthProfile`]. Completed trees are
+/// journaled with their [`ExploreReport::digest`], schedule/step
+/// counters, and boundary-task ledger.
 ///
 /// Resume granularity is the *tree*: a unit killed mid-walk is re-run
 /// from scratch on resume (its walk is deterministic, so the re-run
@@ -244,159 +207,109 @@ pub fn run_explore_campaign_resumable(
     writer: Option<&mut CheckpointWriter>,
     resumed_units: Vec<UnitRecord>,
     cancel: Option<&CancelToken>,
-) -> io::Result<CampaignOutcome<crate::ExploreReport>> {
-    let resumed: Vec<UnitRecord> = resumed_units
+) -> io::Result<CampaignOutcome<(ExploreReport, DepthProfile)>> {
+    run_campaign(
+        grid.len(),
+        threads,
+        progress,
+        writer,
+        resumed_units,
+        cancel,
+        |idx| {
+            let u = &grid[idx];
+            let (report, profile) = explore_campaign(&u.cfg, &u.stream, ecfg, 1, progress);
+            let unit = UnitRecord {
+                index: idx as u64,
+                digest: report.digest(),
+                schedules: report.schedules,
+                steps: report.steps,
+                tasks: report.tasks,
+                failure: report
+                    .error
+                    .as_ref()
+                    .map(|e| e.detail.lines().next().unwrap_or_default().to_string()),
+                ..UnitRecord::default()
+            };
+            (unit, Some((report, profile)))
+        },
+    )
+}
+
+/// The one campaign body. `unit(index)` runs a grid unit on a pool
+/// worker and returns its journal record plus the report to retain (if
+/// any); that closure is all that distinguishes one campaign kind from
+/// another.
+fn run_campaign<R: Send>(
+    len: usize,
+    threads: Option<usize>,
+    progress: Option<&Arc<ProgressSampler>>,
+    mut writer: Option<&mut CheckpointWriter>,
+    resumed_units: Vec<UnitRecord>,
+    cancel: Option<&CancelToken>,
+    unit: impl Fn(usize) -> (UnitRecord, Option<R>) + Sync,
+) -> io::Result<CampaignOutcome<R>> {
+    // Units outside the grid would mean a mismatched journal; the
+    // config-digest check upstream prevents that, but stay defensive.
+    let mut units: Vec<UnitRecord> = resumed_units
         .into_iter()
-        .filter(|u| (u.index as usize) < grid.len())
+        .filter(|u| (u.index as usize) < len)
         .collect();
-    if let Some(p) = progress {
+    let resumed = units.len();
+    let pr = progress.map(Arc::as_ref);
+    if let Some(p) = pr {
+        // Continue the resumed units' counts; a field a kind does not
+        // journal is zero and adds nothing.
         let c = p.counters();
-        c.add_total(grid.len() as u64);
-        c.add_done(resumed.len() as u64);
-        c.add_schedules(resumed.iter().map(|u| u.schedules).sum());
-        c.add_steps(resumed.iter().map(|u| u.steps).sum());
+        c.add_total(len as u64);
+        c.add_done(resumed as u64);
+        c.add_events(units.iter().map(|u| u.events).sum());
+        c.add_schedules(units.iter().map(|u| u.schedules).sum());
+        c.add_steps(units.iter().map(|u| u.steps).sum());
     }
-    let pending = pending_indices(grid.len(), &resumed);
+    let done: FxHashSet<u64> = units.iter().map(|u| u.index).collect();
+    let pending: Vec<usize> = (0..len).filter(|&i| !done.contains(&(i as u64))).collect();
     let workers = threads
         .unwrap_or_else(driver::default_threads)
         .min(pending.len().max(1));
 
-    let mut reports: Vec<Option<crate::ExploreReport>> = Vec::with_capacity(grid.len());
-    reports.resize_with(grid.len(), || None);
-    let resumed_count = resumed.len();
-    let mut units = resumed;
-    let mut fresh = 0usize;
-    let mut writer = writer;
-
-    let pr = progress.map(Arc::as_ref);
-    let run = |w: usize, idx: usize| {
-        let u = &grid[idx];
-        let report = observed(pr, w, || {
-            explore_campaign(&u.cfg, &u.stream, ecfg, 1, progress).0
-        });
-        if let Some(p) = pr {
-            p.counters().add_done(1);
-        }
-        report
-    };
-    let collect = |idx: usize, report: crate::ExploreReport| -> io::Result<()> {
-        let unit = UnitRecord {
-            index: idx as u64,
-            digest: report.digest(),
-            schedules: report.schedules,
-            steps: report.steps,
-            tasks: report.tasks,
-            failure: report
-                .error
-                .as_ref()
-                .map(|e| e.detail.lines().next().unwrap_or_default().to_string()),
-            ..UnitRecord::default()
-        };
-        if let Some(w) = writer.as_deref_mut() {
-            w.record(&unit)?;
-        }
-        units.push(unit);
-        reports[idx] = Some(report);
-        fresh += 1;
-        Ok(())
-    };
-    let cancelled = stream_pending(&pending, workers, cancel, run, collect)?;
+    let mut reports: Vec<Option<R>> = Vec::with_capacity(len);
+    reports.resize_with(len, || None);
+    let cancelled = driver::pool(
+        pending.len(),
+        workers,
+        cancel,
+        |w, i| {
+            let out = observed(pr, w, || unit(pending[i]));
+            if let Some(p) = pr {
+                p.counters().add_done(1);
+            }
+            out
+        },
+        |i, (record, report)| -> io::Result<()> {
+            if let Some(w) = writer.as_deref_mut() {
+                w.record(&record)?;
+            }
+            units.push(record);
+            reports[pending[i]] = report;
+            Ok(())
+        },
+    )?;
 
     units.sort_by_key(|u| u.index);
     Ok(CampaignOutcome {
         reports,
+        fresh: units.len() - resumed,
         units,
-        resumed: resumed_count,
-        fresh,
+        resumed,
         cancelled,
     })
-}
-
-/// Grid indices without a completed record, in grid order.
-fn pending_indices(total: usize, resumed: &[UnitRecord]) -> Vec<usize> {
-    let done: FxHashSet<u64> = resumed.iter().map(|u| u.index).collect();
-    (0..total)
-        .filter(|i| !done.contains(&(*i as u64)))
-        .collect()
-}
-
-/// The streaming work-unit pool: workers claim `pending` entries by
-/// atomic index (re-checking `cancel` before every claim) and send
-/// `(index, result)` over a channel bounded at `2 × workers`; `collect`
-/// consumes them on the calling thread in completion order. A full
-/// channel blocks the senders — that is the backpressure policy: at
-/// most `2 × workers` un-journaled results exist at any instant.
-///
-/// Returns whether the token was tripped. A `collect` error (journal
-/// write failure) aborts the workers and surfaces after the in-flight
-/// results drain.
-fn stream_pending<R, F, G>(
-    pending: &[usize],
-    workers: usize,
-    cancel: Option<&CancelToken>,
-    run: F,
-    mut collect: G,
-) -> io::Result<bool>
-where
-    R: Send,
-    F: Fn(usize, usize) -> R + Sync,
-    G: FnMut(usize, R) -> io::Result<()>,
-{
-    let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    if workers <= 1 {
-        for &idx in pending {
-            if is_cancelled() {
-                return Ok(true);
-            }
-            collect(idx, run(0, idx))?;
-        }
-        return Ok(is_cancelled());
-    }
-
-    let next = AtomicUsize::new(0);
-    let abort = AtomicBool::new(false);
-    let (tx, rx) = mpsc::sync_channel::<(usize, R)>(workers * 2);
-    let mut first_err: Option<io::Error> = None;
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let tx = tx.clone();
-            let (next, abort, run) = (&next, &abort, &run);
-            scope.spawn(move || loop {
-                if abort.load(Ordering::Relaxed) || cancel.is_some_and(CancelToken::is_cancelled) {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&idx) = pending.get(i) else {
-                    break;
-                };
-                let r = run(w, idx);
-                if tx.send((idx, r)).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        for (idx, r) in rx {
-            if first_err.is_some() {
-                // Keep draining so blocked senders can exit; nothing
-                // more is journaled after the first failure.
-                continue;
-            }
-            if let Err(e) = collect(idx, r) {
-                abort.store(true, Ordering::Relaxed);
-                first_err = Some(e);
-            }
-        }
-    });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(is_cancelled()),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diff::{contended_stream, tiny_config};
+    use crate::{explore_parallel_profiled, run_fuzz, ExperimentSet};
     use swiftdir_coherence::ProtocolKind;
 
     fn grid(n: u64) -> Vec<FuzzConfig> {
@@ -468,6 +381,78 @@ mod tests {
                     "keep={keep} threads={threads}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn fuzz_campaign_without_writer_keeps_every_report() {
+        let g = grid(6);
+        let want = ExperimentSet::new(g.clone()).threads(1).run(run_fuzz);
+        for threads in [1, 4] {
+            let out = run_fuzz_campaign_resumable(&g, Some(threads), None, None, Vec::new(), None)
+                .unwrap();
+            assert_eq!(out.reports.len(), want.len());
+            for (got, want) in out.reports.iter().zip(&want) {
+                let got = got.as_ref().expect("no writer: every fresh report is kept");
+                assert_eq!(
+                    (got.digest, got.events, &got.stats),
+                    (want.digest, want.events, &want.stats),
+                    "threads={threads} {:?}",
+                    want.config
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fuzz_campaign_with_writer_keeps_only_failing_reports() {
+        let g = grid(4);
+        let dir = std::env::temp_dir().join(format!("swiftdir-campaign-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("keep.ckpt");
+        let header = crate::CkptHeader {
+            kind: "fuzz".to_string(),
+            campaign: "fuzz".to_string(),
+            config_digest: crate::fuzz_grid_digest(&g),
+            total: g.len() as u64,
+        };
+        let mut w = CheckpointWriter::create(&path, &header).unwrap();
+        let out =
+            run_fuzz_campaign_resumable(&g, Some(2), None, Some(&mut w), Vec::new(), None).unwrap();
+        assert!(out.complete());
+        for (report, unit) in out.reports.iter().zip(&out.units) {
+            assert_eq!(
+                report.is_some(),
+                unit.failure.is_some(),
+                "unit {}",
+                unit.index
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn explore_campaign_units_carry_their_depth_profiles() {
+        let ecfg = ExploreConfig::default();
+        let grid: Vec<ExploreUnit> = [ProtocolKind::Mesi, ProtocolKind::SwiftDir]
+            .into_iter()
+            .flat_map(|p| {
+                (0..2u64).map(move |seed| ExploreUnit {
+                    cfg: tiny_config(2, p),
+                    stream: contended_stream(seed, 2, 2, 4, 0.3),
+                })
+            })
+            .collect();
+        let out =
+            run_explore_campaign_resumable(&grid, &ecfg, Some(2), None, None, Vec::new(), None)
+                .unwrap();
+        assert!(out.complete());
+        for (u, got) in grid.iter().zip(&out.reports) {
+            let (report, profile) = got.as_ref().expect("explore keeps every fresh report");
+            let (want_report, want_profile) =
+                explore_parallel_profiled(&u.cfg, &u.stream, &ecfg, 1);
+            assert_eq!(report, &want_report);
+            assert_eq!(profile, &want_profile);
         }
     }
 }

@@ -12,6 +12,10 @@
 //! slot pre-assigned by input position. The output `Vec` is therefore in
 //! input order and bit-identical to a serial run, whatever the schedule.
 //!
+//! One pool (`pool`) does all of this: the sweeps here and the journaled
+//! campaigns of [`campaign`](crate::campaign) both claim work by atomic
+//! index and hand results to a collector on the calling thread.
+//!
 //! The worker count comes from, in priority order: an explicit
 //! [`ExperimentSet::threads`] call, the `SWIFTDIR_THREADS` environment
 //! variable, then [`std::thread::available_parallelism`].
@@ -27,11 +31,14 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Once};
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, Once};
 use std::time::Instant;
 
 use sim_engine::{Json, ProgressSampler};
+
+use crate::campaign::CancelToken;
 
 /// Environment variable overriding the worker-thread count.
 pub const THREADS_ENV: &str = "SWIFTDIR_THREADS";
@@ -191,14 +198,12 @@ impl<C> ExperimentSet<C> {
         self
     }
 
-    /// Number of configurations in the set.
-    pub fn len(&self) -> usize {
-        self.configs.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.configs.is_empty()
+    /// Worker count for this set: the pinned or default count, clamped
+    /// to the number of configurations.
+    fn workers(&self) -> usize {
+        self.threads
+            .unwrap_or_else(default_threads)
+            .min(self.configs.len().max(1))
     }
 
     /// Runs `f` once per configuration and returns the results **in input
@@ -206,60 +211,19 @@ impl<C> ExperimentSet<C> {
     /// order they finished.
     ///
     /// `f` must be safe to call from multiple threads at once; each call
-    /// gets a distinct configuration. Panics in `f` propagate: a panicking
-    /// worker poisons the run and this call panics rather than returning
-    /// partial results.
+    /// gets a distinct configuration. Panics in `f` propagate: this call
+    /// panics rather than returning partial results.
     pub fn run<R, F>(self, f: F) -> Vec<R>
     where
         C: Sync,
         R: Send,
         F: Fn(&C) -> R + Sync,
     {
-        let workers = self
-            .threads
-            .unwrap_or_else(default_threads)
-            .min(self.configs.len().max(1));
-        let configs = self.configs;
-        let progress = self.progress;
-        if workers <= 1 {
-            return configs
-                .iter()
-                .map(|c| observed(progress.as_deref(), 0, || f(c)))
-                .collect();
-        }
-
-        // Work stealing by atomic index; results land in the slot matching
-        // their input position, so completion order never shows.
-        let next = AtomicUsize::new(0);
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(configs.len());
-        slots.resize_with(configs.len(), || None);
-        let results = Mutex::new(slots);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (next, configs, results, f) = (&next, &configs, &results, &f);
-                let progress = progress.as_deref();
-                handles.push(scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(config) = configs.get(i) else {
-                        break;
-                    };
-                    let r = observed(progress, w, || f(config));
-                    results.lock().expect("a worker panicked")[i] = Some(r);
-                }));
-            }
-            for h in handles {
-                h.join().expect("experiment worker panicked");
-            }
-        });
-
-        results
-            .into_inner()
-            .expect("a worker panicked")
-            .into_iter()
-            .map(|r| r.expect("every slot was filled"))
-            .collect()
+        let workers = self.workers();
+        let (configs, progress) = (self.configs, self.progress.as_deref());
+        in_input_order(configs.len(), workers, |w, i| {
+            observed(progress, w, || f(&configs[i]))
+        })
     }
 
     /// Like [`ExperimentSet::run`], but hands each worker **ownership**
@@ -273,59 +237,23 @@ impl<C> ExperimentSet<C> {
         R: Send,
         F: Fn(C) -> R + Sync,
     {
-        let workers = self
-            .threads
-            .unwrap_or_else(default_threads)
-            .min(self.configs.len().max(1));
-        let configs = self.configs;
-        let progress = self.progress;
-        if workers <= 1 {
-            return configs
-                .into_iter()
-                .map(|c| observed(progress.as_deref(), 0, || f(c)))
-                .collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let count = configs.len();
+        let workers = self.workers();
+        let progress = self.progress.as_deref();
         // Each config sits behind its own mutex so a worker can *take*
-        // it; the work-stealing index guarantees a slot is claimed once.
-        let inputs: Vec<Mutex<Option<C>>> =
-            configs.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let mut slots: Vec<Option<R>> = Vec::with_capacity(count);
-        slots.resize_with(count, || None);
-        let results = Mutex::new(slots);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let (next, inputs, results, f) = (&next, &inputs, &results, &f);
-                let progress = progress.as_deref();
-                handles.push(scope.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = inputs.get(i) else {
-                        break;
-                    };
-                    let config = slot
-                        .lock()
-                        .expect("a worker panicked")
-                        .take()
-                        .expect("each config is claimed exactly once");
-                    let r = observed(progress, w, || f(config));
-                    results.lock().expect("a worker panicked")[i] = Some(r);
-                }));
-            }
-            for h in handles {
-                h.join().expect("experiment worker panicked");
-            }
-        });
-
-        results
-            .into_inner()
-            .expect("a worker panicked")
+        // it; the pool's claim index guarantees a slot is claimed once.
+        let inputs: Vec<Mutex<Option<C>>> = self
+            .configs
             .into_iter()
-            .map(|r| r.expect("every slot was filled"))
-            .collect()
+            .map(|c| Mutex::new(Some(c)))
+            .collect();
+        in_input_order(inputs.len(), workers, |w, i| {
+            let config = inputs[i]
+                .lock()
+                .expect("a worker panicked")
+                .take()
+                .expect("each config is claimed exactly once");
+            observed(progress, w, || f(config))
+        })
     }
 
     /// Like [`ExperimentSet::run`], but also reports wall-clock timing:
@@ -338,10 +266,7 @@ impl<C> ExperimentSet<C> {
         R: Send,
         F: Fn(&C) -> R + Sync,
     {
-        let threads = self
-            .threads
-            .unwrap_or_else(default_threads)
-            .min(self.configs.len().max(1));
+        let threads = self.workers();
         let start = Instant::now();
         let timed = self.run(|c| {
             let t0 = Instant::now();
@@ -366,6 +291,98 @@ impl<C> ExperimentSet<C> {
     }
 }
 
+/// Runs `run(worker, i)` for every `i in 0..count` on [`pool`] and
+/// returns the results in index order.
+fn in_input_order<R, F>(count: usize, workers: usize, run: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+{
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(count);
+    slots.resize_with(count, || None);
+    let Ok(_) = pool(count, workers, None, run, |i, r| {
+        slots[i] = Some(r);
+        Ok::<(), Infallible>(())
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every slot was filled"))
+        .collect()
+}
+
+/// The work pool every sweep and campaign runs on.
+///
+/// Workers claim indices `0..count` by atomic counter (re-checking
+/// `cancel` before every claim), run `run(worker, index)`, and send
+/// `(index, result)` over a channel bounded at `2 × workers`; `collect`
+/// consumes them on the calling thread in completion order. A full
+/// channel blocks the senders — that is the backpressure policy: at
+/// most `2 × workers` uncollected results exist at any instant. With
+/// `workers <= 1` everything runs on the calling thread.
+///
+/// Returns whether the token was tripped. A `collect` error stops
+/// further claims and surfaces after the in-flight results drain. A
+/// panicking worker panics the call once the others have stopped.
+pub(crate) fn pool<R, E, F, G>(
+    count: usize,
+    workers: usize,
+    cancel: Option<&CancelToken>,
+    run: F,
+    mut collect: G,
+) -> Result<bool, E>
+where
+    R: Send,
+    F: Fn(usize, usize) -> R + Sync,
+    G: FnMut(usize, R) -> Result<(), E>,
+{
+    let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    if workers <= 1 {
+        for i in 0..count {
+            if is_cancelled() {
+                return Ok(true);
+            }
+            collect(i, run(0, i))?;
+        }
+        return Ok(is_cancelled());
+    }
+
+    let next = AtomicUsize::new(0);
+    let abort = AtomicBool::new(false);
+    let (tx, rx) = mpsc::sync_channel::<(usize, R)>(workers * 2);
+    let mut first_err = None;
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let tx = tx.clone();
+            let (next, abort, run, is_cancelled) = (&next, &abort, &run, &is_cancelled);
+            scope.spawn(move || loop {
+                if abort.load(Ordering::Relaxed) || is_cancelled() {
+                    break;
+                }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= count || tx.send((i, run(w, i))).is_err() {
+                    break;
+                }
+            });
+        }
+        drop(tx);
+        for (i, r) in rx {
+            if first_err.is_some() {
+                // Keep draining so blocked senders can exit; nothing
+                // more is collected after the first failure.
+                continue;
+            }
+            if let Err(e) = collect(i, r) {
+                abort.store(true, Ordering::Relaxed);
+                first_err = Some(e);
+            }
+        }
+    });
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok(is_cancelled()),
+    }
+}
+
 /// Runs one work item under worker `w`'s attribution slot (claim,
 /// busy-time accounting, completion count) and ticks the sampler
 /// afterwards. With no sampler this is exactly the bare call.
@@ -384,13 +401,6 @@ pub(crate) fn observed<R>(
     slot.finish(t0.elapsed());
     p.tick();
     r
-}
-
-impl<C> FromIterator<C> for ExperimentSet<C> {
-    /// Builds the set from any iterator of configurations.
-    fn from_iter<I: IntoIterator<Item = C>>(configs: I) -> Self {
-        Self::new(configs.into_iter().collect())
-    }
 }
 
 #[cfg(test)]
@@ -415,6 +425,30 @@ mod tests {
             .threads(8)
             .run(|&i| i * 10);
         assert_eq!(out, (0..100).map(|i| i * 10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn run_owned_results_are_in_input_order() {
+        for threads in [1, 8] {
+            // Boxed configs: owned, moved into the worker that runs them.
+            let configs: Vec<Box<u64>> = (0..100u64).map(Box::new).collect();
+            let out = ExperimentSet::new(configs)
+                .threads(threads)
+                .run_owned(|b| *b * 10);
+            assert_eq!(
+                out,
+                (0..100).map(|i| i * 10).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_worker_panics_the_call() {
+        ExperimentSet::new((0..16u64).collect::<Vec<_>>())
+            .threads(4)
+            .run(|&n| assert_ne!(n, 7, "worker panic"));
     }
 
     #[test]

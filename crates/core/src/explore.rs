@@ -51,7 +51,7 @@
 //! hierarchy when `threads == 1` (zero forks end to end in undo mode).
 //! Task reports merge **in spine emission order**, so the report is
 //! bit-identical for every thread count — [`explore`] *is*
-//! [`explore_parallel_threads`] with one thread. Cross-task revisits
+//! [`explore_parallel_profiled`] with one thread. Cross-task revisits
 //! are only pruned within a task, never across tasks; the pure serial
 //! single-table walk remains available via
 //! `split_depth: Some(usize::MAX)` (it prunes more, so its `timings`
@@ -72,7 +72,7 @@ use swiftdir_coherence::{
     Checker, Choice, Completion, Hierarchy, HierarchyConfig, ObservedCoverage, RequestId,
 };
 
-use crate::driver::{self, ExperimentSet};
+use crate::driver::ExperimentSet;
 use crate::stream::{issue_stream, AccessOp};
 
 /// Phase names an explore campaign's telemetry attributes wall time to:
@@ -377,36 +377,16 @@ impl DepthProfile {
 /// `cfg`, within `ecfg`'s budgets. Link jitter must be disabled (the
 /// explorer *is* the network nondeterminism).
 ///
-/// This *is* [`explore_parallel_threads`] with one worker: the walk is
+/// This *is* [`explore_parallel_profiled`] with one worker: the walk is
 /// decomposed identically, so the report is bit-identical at every
 /// thread count.
 pub fn explore(cfg: &HierarchyConfig, stream: &[AccessOp], ecfg: &ExploreConfig) -> ExploreReport {
-    explore_parallel_threads(cfg, stream, ecfg, 1)
+    explore_parallel_profiled(cfg, stream, ecfg, 1).0
 }
 
-/// [`explore`] with the boundary tasks fanned over the experiment
-/// driver's worker threads (`SWIFTDIR_THREADS`, else the host
-/// parallelism).
-pub fn explore_parallel(
-    cfg: &HierarchyConfig,
-    stream: &[AccessOp],
-    ecfg: &ExploreConfig,
-) -> ExploreReport {
-    explore_parallel_threads(cfg, stream, ecfg, driver::default_threads())
-}
-
-/// [`explore_parallel`] with a pinned worker count.
-pub fn explore_parallel_threads(
-    cfg: &HierarchyConfig,
-    stream: &[AccessOp],
-    ecfg: &ExploreConfig,
-    threads: usize,
-) -> ExploreReport {
-    explore_parallel_profiled(cfg, stream, ecfg, threads).0
-}
-
-/// [`explore_parallel_threads`] that also returns the merged per-depth
-/// walk profile (node counts, backtracks, undo bytes).
+/// [`explore`] with the boundary tasks fanned over `threads` workers,
+/// also returning the merged per-depth walk profile (node counts,
+/// backtracks, undo bytes).
 pub fn explore_parallel_profiled(
     cfg: &HierarchyConfig,
     stream: &[AccessOp],
@@ -1176,8 +1156,8 @@ mod tests {
         for protocol in [ProtocolKind::SwiftDir, ProtocolKind::Mesi] {
             let cfg = tiny(protocol, 2);
             let ecfg = ExploreConfig::default();
-            let one = explore_parallel_threads(&cfg, &contended(), &ecfg, 1);
-            let four = explore_parallel_threads(&cfg, &contended(), &ecfg, 4);
+            let one = explore_parallel_profiled(&cfg, &contended(), &ecfg, 1).0;
+            let four = explore_parallel_profiled(&cfg, &contended(), &ecfg, 4).0;
             assert_eq!(one, four, "{protocol:?}");
             assert!(one.exhaustive_and_clean(), "{protocol:?}: {:?}", one.error);
         }
@@ -1192,7 +1172,7 @@ mod tests {
             let cfg = tiny(protocol, 2);
             let ecfg = ExploreConfig::default();
             let serial = explore(&cfg, &contended(), &ecfg);
-            let parallel = explore_parallel_threads(&cfg, &contended(), &ecfg, 4);
+            let parallel = explore_parallel_profiled(&cfg, &contended(), &ecfg, 4).0;
             assert!(serial.exhaustive_and_clean(), "{protocol:?}");
             assert_eq!(serial, parallel, "{protocol:?}");
         }
@@ -1296,8 +1276,8 @@ mod tests {
             max_tasks: 1,
             ..ExploreConfig::default()
         };
-        let one = explore_parallel_threads(&cfg, &contended(), &ecfg, 1);
-        let four = explore_parallel_threads(&cfg, &contended(), &ecfg, 4);
+        let one = explore_parallel_profiled(&cfg, &contended(), &ecfg, 1).0;
+        let four = explore_parallel_profiled(&cfg, &contended(), &ecfg, 4).0;
         assert_eq!(one, four, "capped walk diverged across thread counts");
         assert_eq!(one.tasks, 1);
         assert!(one.task_cap_hits > 0, "cap never hit — widen the stream");

@@ -18,8 +18,6 @@
 //! survives changes to the stream *generator*, which a bare seed does
 //! not.
 
-use std::sync::Arc;
-
 use sim_engine::{DetRng, MemGauge, ProgressSampler, Tracer};
 use swiftdir_cache::CacheGeometry;
 use swiftdir_coherence::{
@@ -27,7 +25,6 @@ use swiftdir_coherence::{
 };
 use swiftdir_mmu::PhysAddr;
 
-use crate::driver::ExperimentSet;
 use crate::stream::{issue_stream, AccessOp, StreamFile};
 
 /// Events without a single completion before the watchdog declares the
@@ -266,59 +263,6 @@ pub(crate) fn run_fuzz_observed(
         cfg.stream_file()
     };
     run_ops(cfg, &file, None, progress)
-}
-
-/// Runs every scenario in `configs` fanned over the experiment driver's
-/// worker threads (`SWIFTDIR_THREADS`, else the host parallelism).
-///
-/// Each scenario is self-contained and seeded, so the fan-out cannot
-/// perturb it; results come back **in input order**, making the returned
-/// reports (digests, event counts, statistics) bit-identical to calling
-/// [`run_fuzz`] serially over the slice, whatever the thread count.
-pub fn run_fuzz_many(configs: &[FuzzConfig]) -> Vec<FuzzReport> {
-    run_fuzz_campaign(configs, None, None)
-}
-
-/// [`run_fuzz_many`] with a pinned worker count (`threads == 1` runs
-/// strictly serially on the calling thread). Used by the bench harness
-/// and the determinism tests to compare thread counts explicitly.
-pub fn run_fuzz_many_threads(configs: &[FuzzConfig], threads: usize) -> Vec<FuzzReport> {
-    run_fuzz_campaign(configs, Some(threads), None)
-}
-
-/// The fuzz campaign driver every `run_fuzz_many*` entry point funnels
-/// through: fans `configs` over the experiment driver, optionally with
-/// a pinned thread count and a campaign telemetry sampler.
-///
-/// With a sampler attached the campaign announces `configs.len()` units
-/// up front, each worker publishes per-seed progress (done counts,
-/// event deltas, [`FUZZ_PHASES`] spans, slab/trace-ring gauges) and the
-/// sampler emits `"swiftdir.progress.v1"` heartbeats at its interval.
-/// Telemetry is strictly passive: the returned reports are
-/// bit-identical to a samplerless run at every thread count.
-pub fn run_fuzz_campaign(
-    configs: &[FuzzConfig],
-    threads: Option<usize>,
-    progress: Option<&Arc<ProgressSampler>>,
-) -> Vec<FuzzReport> {
-    if let Some(p) = progress {
-        p.counters().add_total(configs.len() as u64);
-    }
-    let mut set = ExperimentSet::new(configs.to_vec());
-    if let Some(t) = threads {
-        set = set.threads(t);
-    }
-    if let Some(p) = progress {
-        set = set.progress(Arc::clone(p));
-    }
-    let progress = progress.map(Arc::as_ref);
-    set.run(move |cfg| {
-        let report = run_fuzz_observed(cfg, progress);
-        if let Some(p) = progress {
-            p.counters().add_done(1);
-        }
-        report
-    })
 }
 
 /// Replays a [`StreamFile`] op-for-op on the standard shrunken fuzz
@@ -670,6 +614,7 @@ pub fn minimize_stream(file: &StreamFile, fault: Option<&PlantedFault>) -> Strea
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::ExperimentSet;
 
     #[test]
     fn clean_run_all_protocols() {
@@ -742,8 +687,8 @@ mod tests {
                 })
             })
             .collect();
-        let one = run_fuzz_many_threads(&configs, 1);
-        let four = run_fuzz_many_threads(&configs, 4);
+        let one = ExperimentSet::new(configs.clone()).threads(1).run(run_fuzz);
+        let four = ExperimentSet::new(configs.clone()).threads(4).run(run_fuzz);
         assert_eq!(one.len(), configs.len());
         for (a, b) in one.iter().zip(&four) {
             assert!(a.ok(), "{:?}: {}", a.config, a.failure.as_ref().unwrap());

@@ -77,14 +77,12 @@ pub use diff::{
 };
 pub use driver::{default_banks, default_threads, DriverReport, ExperimentSet, PointTiming};
 pub use explore::{
-    adaptive_split_depth, explore, explore_campaign, explore_parallel, explore_parallel_profiled,
-    explore_parallel_threads, DepthProfile, DepthStats, ExploreConfig, ExploreError, ExploreMode,
-    ExploreReport, EXPLORE_PHASES,
+    adaptive_split_depth, explore, explore_campaign, explore_parallel_profiled, DepthProfile,
+    DepthStats, ExploreConfig, ExploreError, ExploreMode, ExploreReport, EXPLORE_PHASES,
 };
 pub use fuzz::{
-    minimize, minimize_outcome, minimize_stream, replay, replay_with_fault, run_fuzz,
-    run_fuzz_campaign, run_fuzz_many, run_fuzz_many_threads, FuzzConfig, FuzzFailure,
-    FuzzFailureKind, FuzzReport, MinimizeOutcome, PlantedFault, FUZZ_PHASES,
+    minimize, minimize_outcome, minimize_stream, replay, replay_with_fault, run_fuzz, FuzzConfig,
+    FuzzFailure, FuzzFailureKind, FuzzReport, MinimizeOutcome, PlantedFault, FUZZ_PHASES,
 };
 pub use obs::{repair_progress_tail, ProgressConfig, ProgressSink, TraceConfig, TraceFiles};
 pub use probe::{ClassKey, LatencyProbe};

@@ -228,11 +228,13 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics on deadlock (a thread waits on memory while no events are
-    /// pending), which would indicate a protocol bug.
+    /// Panics with the [`ProtocolError`](swiftdir_coherence::ProtocolError)
+    /// text on an illegal protocol event, and on deadlock (a thread waits
+    /// on memory while no events are pending); both indicate a protocol
+    /// bug.
     pub fn run_to_completion(&mut self) -> RunStats {
-        // Completion buffer reused across batches; `tick_into` appends
-        // instead of returning a fresh vector per event time.
+        // Completion buffer reused across batches; `try_tick_into`
+        // appends instead of returning a fresh vector per event time.
         let mut completions = Vec::new();
         loop {
             // 1. Let every runnable CPU make progress. Split the slot's
@@ -260,7 +262,9 @@ impl System {
             // 2. Advance the hierarchy to its next event batch.
             match self.hier.next_event_time() {
                 Some(t) => {
-                    self.hier.tick_into(t, &mut completions);
+                    if let Err(e) = self.hier.try_tick_into(t, &mut completions) {
+                        panic!("{e}");
+                    }
                     for c in completions.drain(..) {
                         self.probe.record(&c);
                         if let Some(cpu) = self.slots[c.core].cpu.as_mut() {

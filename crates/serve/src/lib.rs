@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use sim_engine::{CampaignCounters, Json};
+use sim_engine::{CampaignCounters, Json, ProgressSampler};
 use swiftdir_coherence::ProtocolKind;
 use swiftdir_core::diff::{contended_stream, tiny_config};
 use swiftdir_core::explore::{ExploreConfig, EXPLORE_PHASES};
@@ -44,8 +44,8 @@ use swiftdir_core::fuzz::{FuzzConfig, FUZZ_PHASES};
 use swiftdir_core::stream::StreamFile;
 use swiftdir_core::{
     default_threads, explore_grid_digest, fuzz_grid_digest, run_explore_campaign_resumable,
-    run_fuzz_campaign_resumable, CancelToken, CheckpointWriter, CkptHeader, ExploreUnit,
-    ProgressConfig, ProgressSink,
+    run_fuzz_campaign_resumable, CampaignOutcome, CancelToken, CheckpointWriter, CkptHeader,
+    ExploreUnit, ProgressConfig, ProgressSink,
 };
 
 /// Schema tag on every job spec.
@@ -687,16 +687,16 @@ impl Server {
             }
         };
 
-        let (outcome_units, fresh, resumed, cancelled, digest_set, failures, complete);
-        match &spec.kind {
+        let header = |kind: &str, config_digest: u64, total: usize| CkptHeader {
+            kind: kind.to_string(),
+            campaign: spec.id.clone(),
+            config_digest,
+            total: total as u64,
+        };
+        let (result, complete) = match &spec.kind {
             JobKind::Fuzz(f) => {
                 let grid = f.grid();
-                let header = CkptHeader {
-                    kind: "fuzz".to_string(),
-                    campaign: spec.id.clone(),
-                    config_digest: fuzz_grid_digest(&grid),
-                    total: grid.len() as u64,
-                };
+                let header = header("fuzz", fuzz_grid_digest(&grid), grid.len());
                 let (mut writer, resumed_units) = CheckpointWriter::resume(&ckpt_path, &header)?;
                 let sampler = build_sampler(CampaignCounters::new("fuzz", threads, &FUZZ_PHASES))?;
                 let out = run_fuzz_campaign_resumable(
@@ -707,31 +707,13 @@ impl Server {
                     resumed_units,
                     Some(&token),
                 )?;
-                if let Some(s) = &sampler {
-                    if out.complete() {
-                        s.finish();
-                    }
-                }
-                complete = out.complete();
-                digest_set = out.digest_set_fnv();
-                failures = out.failures() as u64;
-                (outcome_units, fresh, resumed, cancelled) = (
-                    out.units.len() as u64,
-                    out.fresh as u64,
-                    out.resumed as u64,
-                    out.cancelled,
-                );
+                job_result(spec, &out, sampler.as_deref())
             }
             JobKind::Explore(e) => {
                 let (grid, ecfg) = e
                     .grid()
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                let header = CkptHeader {
-                    kind: "explore".to_string(),
-                    campaign: spec.id.clone(),
-                    config_digest: explore_grid_digest(&grid, &ecfg),
-                    total: grid.len() as u64,
-                };
+                let header = header("explore", explore_grid_digest(&grid, &ecfg), grid.len());
                 let (mut writer, resumed_units) = CheckpointWriter::resume(&ckpt_path, &header)?;
                 let sampler =
                     build_sampler(CampaignCounters::new("explore", threads, &EXPLORE_PHASES))?;
@@ -744,44 +726,46 @@ impl Server {
                     resumed_units,
                     Some(&token),
                 )?;
-                if let Some(s) = &sampler {
-                    if out.complete() {
-                        s.finish();
-                    }
-                }
-                complete = out.complete();
-                digest_set = out.digest_set_fnv();
-                failures = out.failures() as u64;
-                (outcome_units, fresh, resumed, cancelled) = (
-                    out.units.len() as u64,
-                    out.fresh as u64,
-                    out.resumed as u64,
-                    out.cancelled,
-                );
+                job_result(spec, &out, sampler.as_deref())
             }
-        }
+        };
         watch_stop.store(true, Ordering::Relaxed);
         let _ = watcher.join();
 
-        let result = JobResult {
-            id: spec.id.clone(),
-            kind: spec.kind.name().to_string(),
-            ok: complete && failures == 0,
-            cancelled,
-            units: outcome_units,
-            fresh,
-            resumed,
-            failures,
-            digest_set,
-        };
         // A server *stop* leaves the job resumable; a per-job *cancel*
         // finalizes it as cancelled so a restart will not revive it.
-        let job_cancelled = cancelled && !stop.is_some_and(CancelToken::is_cancelled);
+        let job_cancelled = result.cancelled && !stop.is_some_and(CancelToken::is_cancelled);
         if complete || job_cancelled {
             write_atomic(&jdir.join("result.json"), &render(&result.to_json()))?;
         }
         Ok(result)
     }
+}
+
+/// A finished (or stopped) campaign's job result, plus whether every
+/// unit completed. A complete campaign's heartbeat stream is finished.
+fn job_result<R>(
+    spec: &JobSpec,
+    out: &CampaignOutcome<R>,
+    sampler: Option<&ProgressSampler>,
+) -> (JobResult, bool) {
+    let complete = out.complete();
+    if let Some(s) = sampler.filter(|_| complete) {
+        s.finish();
+    }
+    let failures = out.failures() as u64;
+    let result = JobResult {
+        id: spec.id.clone(),
+        kind: spec.kind.name().to_string(),
+        ok: complete && failures == 0,
+        cancelled: out.cancelled,
+        units: out.units.len() as u64,
+        fresh: out.fresh as u64,
+        resumed: out.resumed as u64,
+        failures,
+        digest_set: out.digest_set_fnv(),
+    };
+    (result, complete)
 }
 
 /// Entry names under `dir` with `suffix` stripped, sorted (ids embed

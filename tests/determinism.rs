@@ -13,9 +13,9 @@ use std::time::Duration;
 
 use swiftdir::coherence::ProtocolKind;
 use swiftdir::core::{
-    contended_stream, explore_campaign, explore_parallel_threads, run_fuzz_campaign,
-    run_fuzz_many_threads, ExperimentSet, ExploreConfig, FuzzConfig, RunStats, System,
-    SystemConfig, TraceConfig, EXPLORE_PHASES, FUZZ_PHASES,
+    contended_stream, explore_campaign, explore_parallel_profiled, run_fuzz,
+    run_fuzz_campaign_resumable, ExperimentSet, ExploreConfig, FuzzConfig, FuzzReport, RunStats,
+    System, SystemConfig, TraceConfig, EXPLORE_PHASES, FUZZ_PHASES,
 };
 use swiftdir::cpu::CpuModel;
 use swiftdir::engine::{CampaignCounters, ProgressSampler};
@@ -174,8 +174,8 @@ fn sharded_fuzz_fan_out_is_thread_count_invariant() {
             })
         })
         .collect();
-    let one = run_fuzz_many_threads(&grid, 1);
-    let four = run_fuzz_many_threads(&grid, 4);
+    let one = ExperimentSet::new(grid.clone()).threads(1).run(run_fuzz);
+    let four = ExperimentSet::new(grid).threads(4).run(run_fuzz);
     for (a, b) in one.iter().zip(&four) {
         assert!(a.ok(), "sharded fuzz {:?} failed", a.config);
         assert_eq!(a.digest, b.digest, "digest diverged for {:?}", a.config);
@@ -198,8 +198,8 @@ fn fuzz_fan_out_digests_are_thread_count_invariant() {
             })
         })
         .collect();
-    let one = run_fuzz_many_threads(&grid, 1);
-    let four = run_fuzz_many_threads(&grid, 4);
+    let one = ExperimentSet::new(grid.clone()).threads(1).run(run_fuzz);
+    let four = ExperimentSet::new(grid).threads(4).run(run_fuzz);
     assert_eq!(one.len(), four.len());
     for (a, b) in one.iter().zip(&four) {
         assert!(a.ok(), "fuzz {:?} failed", a.config);
@@ -211,6 +211,21 @@ fn fuzz_fan_out_digests_are_thread_count_invariant() {
         );
         assert_eq!(a.stats, b.stats, "stats diverged for {:?}", a.config);
     }
+}
+
+/// Every report of a fuzz campaign run without a checkpoint writer,
+/// which keeps them all.
+fn fuzz_reports(
+    grid: &[FuzzConfig],
+    threads: usize,
+    sampler: Option<&Arc<ProgressSampler>>,
+) -> Vec<FuzzReport> {
+    run_fuzz_campaign_resumable(grid, Some(threads), sampler, None, Vec::new(), None)
+        .unwrap()
+        .reports
+        .into_iter()
+        .map(|r| r.expect("a campaign without a writer keeps every report"))
+        .collect()
 }
 
 #[test]
@@ -229,16 +244,16 @@ fn progress_sampling_never_changes_fuzz_digests() {
             })
         })
         .collect();
-    let bare = run_fuzz_campaign(&grid, Some(1), None);
+    let bare = fuzz_reports(&grid, 1, None);
     let sampled_1 = {
         let s = test_sampler("fuzz", 1, &FUZZ_PHASES);
-        let r = run_fuzz_campaign(&grid, Some(1), Some(&s));
+        let r = fuzz_reports(&grid, 1, Some(&s));
         s.finish();
         r
     };
     let sampled_4 = {
         let s = test_sampler("fuzz", 4, &FUZZ_PHASES);
-        let r = run_fuzz_campaign(&grid, Some(4), Some(&s));
+        let r = fuzz_reports(&grid, 4, Some(&s));
         s.finish();
         r
     };
@@ -299,8 +314,8 @@ fn explorer_coverage_report_is_thread_count_invariant() {
         let cfg = swiftdir::core::diff::tiny_config(2, protocol);
         for seed in 0..2 {
             let stream = contended_stream(seed, 2, 2, 4, 0.3);
-            let one = explore_parallel_threads(&cfg, &stream, &ecfg, 1);
-            let four = explore_parallel_threads(&cfg, &stream, &ecfg, 4);
+            let (one, _) = explore_parallel_profiled(&cfg, &stream, &ecfg, 1);
+            let (four, _) = explore_parallel_profiled(&cfg, &stream, &ecfg, 4);
             assert!(one.error.is_none(), "exploration failed: {:?}", one.error);
             assert_eq!(
                 one, four,

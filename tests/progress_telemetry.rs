@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use swiftdir::coherence::ProtocolKind;
 use swiftdir::core::{
-    contended_stream, explore_campaign, run_fuzz_campaign, ExploreConfig, FuzzConfig,
+    contended_stream, explore_campaign, run_fuzz_campaign_resumable, ExploreConfig, FuzzConfig,
     EXPLORE_PHASES, FUZZ_PHASES,
 };
 use swiftdir::engine::{CampaignCounters, ProgressRecord, ProgressSampler, PROGRESS_SCHEMA};
@@ -68,7 +68,8 @@ fn fuzz_campaign_heartbeats_reconcile_with_reports() {
 
     let buf = SharedBuf::default();
     let sampler = sampler_into(&buf, "fuzz", 2, &FUZZ_PHASES);
-    let reports = run_fuzz_campaign(&grid, Some(2), Some(&sampler));
+    let out = run_fuzz_campaign_resumable(&grid, Some(2), Some(&sampler), None, Vec::new(), None)
+        .unwrap();
     sampler.finish();
 
     let check = check_progress_text(&buf.text()).unwrap_or_else(|e| panic!("{e:#?}"));
@@ -81,7 +82,8 @@ fn fuzz_campaign_heartbeats_reconcile_with_reports() {
     assert_eq!(last.done, grid.len() as u64);
     assert_eq!(last.fraction, 1.0);
     assert_eq!(last.queue_depth, 0);
-    let total_events: u64 = reports.iter().map(|r| r.events).sum();
+    let total_events: u64 = out.reports.iter().flatten().map(|r| r.events).sum();
+    assert_eq!(out.reports.iter().flatten().count(), grid.len());
     assert_eq!(last.events, total_events, "event total diverged");
 
     // Worker attribution covers every seed exactly once.
@@ -175,7 +177,7 @@ fn heartbeats_round_trip_and_are_monotone() {
         .collect();
     let buf = SharedBuf::default();
     let sampler = sampler_into(&buf, "fuzz", 1, &FUZZ_PHASES);
-    run_fuzz_campaign(&grid, Some(1), Some(&sampler));
+    run_fuzz_campaign_resumable(&grid, Some(1), Some(&sampler), None, Vec::new(), None).unwrap();
     sampler.finish();
 
     let text = buf.text();
