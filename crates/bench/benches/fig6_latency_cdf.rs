@@ -34,14 +34,14 @@ fn sample_s_loads(protocol: ProtocolKind, wp: bool, sharers: usize) -> Histogram
                 req = req.write_protected();
             }
             h.issue(h.now() + Cycle(10), s, req);
-            h.run_until_idle();
+            h.run_until_idle().expect("protocol error");
         }
         let mut req = CoreRequest::load(line(i));
         if wp {
             req = req.write_protected();
         }
         h.issue(h.now() + Cycle(10), 3, req);
-        for c in h.run_until_idle() {
+        for c in h.run_until_idle().expect("protocol error") {
             if c.core == 3 {
                 probe.record(&c);
             }

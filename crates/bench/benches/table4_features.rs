@@ -14,9 +14,9 @@ const X: PhysAddr = PhysAddr(0x20_0000);
 fn shared_from_llc(p: ProtocolKind) -> (bool, u64) {
     let mut h = Hierarchy::new(HierarchyConfig::table_v(2, p));
     h.issue(Cycle(0), 1, CoreRequest::load(X).write_protected());
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 0, CoreRequest::load(X).write_protected());
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     (
         done[0].served_from != ServedFrom::RemoteL1,
         done[0].latency().get(),
@@ -26,10 +26,10 @@ fn shared_from_llc(p: ProtocolKind) -> (bool, u64) {
 fn silent_upgrade(p: ProtocolKind) -> (bool, u64, u64) {
     let mut h = Hierarchy::new(HierarchyConfig::table_v(2, p));
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     let upgrades_before = h.stats().event(CoherenceEvent::Upgrade);
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     let upgrades = h.stats().event(CoherenceEvent::Upgrade) - upgrades_before;
     (upgrades == 0, done[0].latency().get(), upgrades)
 }

@@ -571,9 +571,12 @@ mod tests {
         assert_eq!(c.len(), 2);
     }
 
+    /// Canonical lines plus tick, rng state and content digest.
+    type Fingerprint = (Vec<(u64, u64, u64, u32)>, u64, u64, u64);
+
     /// Structural equality witness: same lines, same recency ranks, same
     /// tick/rng — compared through the canonical view plus scalars.
-    fn fingerprint(c: &CacheArray<u32>) -> (Vec<(u64, u64, u64, u32)>, u64, u64, u64) {
+    fn fingerprint(c: &CacheArray<u32>) -> Fingerprint {
         (
             c.canonical_lines()
                 .into_iter()

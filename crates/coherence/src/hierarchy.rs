@@ -848,17 +848,12 @@ impl Hierarchy {
     }
 
     /// Runs until no events remain; returns all completions.
-    pub fn run_until_idle(&mut self) -> Vec<Completion> {
-        self.try_run_until_idle().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`run_until_idle`](Hierarchy::run_until_idle).
     ///
     /// # Errors
     ///
     /// The first illegal protocol event, or a synthesized error when the
     /// hierarchy fails to quiesce within its fuel budget (livelock).
-    pub fn try_run_until_idle(&mut self) -> Result<Vec<Completion>, Box<ProtocolError>> {
+    pub fn run_until_idle(&mut self) -> Result<Vec<Completion>, Box<ProtocolError>> {
         let mut fuel: u64 = 500_000_000;
         let mut batch = std::mem::take(&mut self.batch);
         let mut failure = None;
@@ -3585,7 +3580,7 @@ mod tests {
     fn cold_load_comes_from_memory() {
         let mut h = hier(ProtocolKind::Mesi, 1);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::Memory);
         assert_eq!(c.class.l1_before, L1State::I);
         assert_eq!(c.class.llc_before, Some(LlcState::I));
@@ -3598,7 +3593,7 @@ mod tests {
     fn swiftdir_wp_load_is_shared_everywhere() {
         let mut h = hier(ProtocolKind::SwiftDir, 2);
         h.issue(Cycle(0), 0, CoreRequest::load(A).write_protected());
-        one(h.run_until_idle());
+        one(h.run_until_idle().expect("protocol error"));
         assert_eq!(h.l1_state(0, A), L1State::S, "SwiftDir I→S for WP data");
         assert_eq!(h.llc_state(A), LlcState::S);
         assert_eq!(h.stats().event(CoherenceEvent::GetsWp), 1);
@@ -3609,7 +3604,7 @@ mod tests {
     fn swiftdir_non_wp_load_still_exclusive() {
         let mut h = hier(ProtocolKind::SwiftDir, 2);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        one(h.run_until_idle());
+        one(h.run_until_idle().expect("protocol error"));
         assert_eq!(h.l1_state(0, A), L1State::E);
         assert_eq!(h.stats().event(CoherenceEvent::Gets), 1);
     }
@@ -3618,7 +3613,7 @@ mod tests {
     fn msi_never_grants_exclusive() {
         let mut h = hier(ProtocolKind::Msi, 1);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        one(h.run_until_idle());
+        one(h.run_until_idle().expect("protocol error"));
         assert_eq!(h.l1_state(0, A), L1State::S);
     }
 
@@ -3626,9 +3621,9 @@ mod tests {
     fn l1_hit_is_one_cycle() {
         let mut h = hier(ProtocolKind::Mesi, 1);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         h.issue(Cycle(1000), 0, CoreRequest::load(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::L1);
         assert_eq!(c.latency(), Cycle(1));
     }
@@ -3637,10 +3632,10 @@ mod tests {
     fn remote_load_of_s_data_served_from_llc_at_17_cycles() {
         let mut h = hier(ProtocolKind::SwiftDir, 2);
         h.issue(Cycle(0), 0, CoreRequest::load(A).write_protected());
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         // Core 1 reads the same (now S) block: LLC serves directly.
         h.issue(Cycle(1000), 1, CoreRequest::load(A).write_protected());
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::Llc);
         assert_eq!(c.class.llc_before, Some(LlcState::S));
         assert_eq!(c.latency(), Cycle(17), "the Figure 6 anchor");
@@ -3650,10 +3645,10 @@ mod tests {
     fn remote_load_of_e_data_forwarded_with_26_cycle_gap() {
         let mut h = hier(ProtocolKind::Mesi, 2);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         assert_eq!(h.l1_state(0, A), L1State::E);
         h.issue(Cycle(1000), 1, CoreRequest::load(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::RemoteL1);
         assert_eq!(c.class.llc_before, Some(LlcState::E));
         assert_eq!(c.latency(), Cycle(17 + 26), "S latency + the E/S gap");
@@ -3667,10 +3662,10 @@ mod tests {
     fn smesi_serves_e_data_from_llc() {
         let mut h = hier(ProtocolKind::SMesi, 2);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         assert_eq!(h.l1_state(0, A), L1State::E);
         h.issue(Cycle(1000), 1, CoreRequest::load(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::Llc, "S-MESI: E served from LLC");
         assert_eq!(c.latency(), Cycle(17));
     }
@@ -3680,10 +3675,10 @@ mod tests {
         for p in [ProtocolKind::Mesi, ProtocolKind::SwiftDir] {
             let mut h = hier(p, 1);
             h.issue(Cycle(0), 0, CoreRequest::load(A));
-            h.run_until_idle();
+            h.run_until_idle().expect("protocol error");
             let upgrades_before = h.stats().event(CoherenceEvent::Upgrade);
             h.issue(Cycle(1000), 0, CoreRequest::store(A));
-            let c = one(h.run_until_idle());
+            let c = one(h.run_until_idle().expect("protocol error"));
             assert_eq!(c.latency(), Cycle(1), "{p}: silent upgrade is an L1 hit");
             assert_eq!(h.l1_state(0, A), L1State::M);
             assert_eq!(h.llc_state(A), LlcState::E, "{p}: LLC not notified");
@@ -3696,9 +3691,9 @@ mod tests {
     fn smesi_upgrade_round_trip() {
         let mut h = hier(ProtocolKind::SMesi, 1);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         h.issue(Cycle(1000), 0, CoreRequest::store(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         // Upgrade/ACK round trip: 1 (L1) + 7 + 2 + 7 = 17 cycles.
         assert_eq!(c.latency(), Cycle(17), "S-MESI store pays the round trip");
         assert_eq!(h.l1_state(0, A), L1State::M);
@@ -3711,14 +3706,14 @@ mod tests {
     fn store_to_shared_invalidates_other_sharers() {
         let mut h = hier(ProtocolKind::Mesi, 2);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         h.issue(Cycle(1000), 1, CoreRequest::load(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         assert_eq!(h.l1_state(0, A), L1State::S);
         assert_eq!(h.l1_state(1, A), L1State::S);
         // Core 0 stores: core 1 must be invalidated.
         h.issue(Cycle(2000), 0, CoreRequest::store(A));
-        one(h.run_until_idle());
+        one(h.run_until_idle().expect("protocol error"));
         assert_eq!(h.l1_state(0, A), L1State::M);
         assert_eq!(h.l1_state(1, A), L1State::I);
         assert_eq!(h.llc_state(A), LlcState::M);
@@ -3729,10 +3724,10 @@ mod tests {
     fn store_miss_to_modified_line_transfers_ownership() {
         let mut h = hier(ProtocolKind::Mesi, 2);
         h.issue(Cycle(0), 0, CoreRequest::store(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         assert_eq!(h.l1_state(0, A), L1State::M);
         h.issue(Cycle(1000), 1, CoreRequest::store(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::RemoteL1);
         assert_eq!(h.l1_state(0, A), L1State::I);
         assert_eq!(h.l1_state(1, A), L1State::M);
@@ -3743,9 +3738,9 @@ mod tests {
     fn load_from_modified_line_gets_dirty_data() {
         let mut h = hier(ProtocolKind::Mesi, 2);
         h.issue(Cycle(0), 0, CoreRequest::store(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         h.issue(Cycle(1000), 1, CoreRequest::load(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::RemoteL1);
         assert_eq!(c.class.llc_before, Some(LlcState::M));
         assert_eq!(h.l1_state(0, A), L1State::S);
@@ -3758,7 +3753,7 @@ mod tests {
         let mut h = hier(ProtocolKind::Mesi, 1);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
         h.issue(Cycle(1), 0, CoreRequest::load(PhysAddr(A.0 + 8)));
-        let done = h.run_until_idle();
+        let done = h.run_until_idle().expect("protocol error");
         assert_eq!(done.len(), 2);
         assert_eq!(h.stats().l1_misses, 1, "second load merged");
         assert_eq!(h.stats().mshr_merges, 1);
@@ -3769,7 +3764,7 @@ mod tests {
         let mut h = hier(ProtocolKind::Mesi, 1);
         h.issue(Cycle(0), 0, CoreRequest::load(A));
         h.issue(Cycle(1), 0, CoreRequest::store(A));
-        let done = h.run_until_idle();
+        let done = h.run_until_idle().expect("protocol error");
         assert_eq!(done.len(), 2);
         assert_eq!(h.l1_state(0, A), L1State::M, "store completed after load");
     }
@@ -3778,7 +3773,7 @@ mod tests {
     fn l1_eviction_writes_back_dirty_data() {
         let mut h = hier(ProtocolKind::Mesi, 1);
         h.issue(Cycle(0), 0, CoreRequest::store(A));
-        h.run_until_idle();
+        h.run_until_idle().expect("protocol error");
         // Fill the set: L1 is 4-way; 5 conflicting blocks evict A.
         let set_stride = 128 * 64; // sets * block
         for i in 1..=4u64 {
@@ -3787,13 +3782,13 @@ mod tests {
                 0,
                 CoreRequest::load(PhysAddr(A.0 + i * set_stride)),
             );
-            h.run_until_idle();
+            h.run_until_idle().expect("protocol error");
         }
         assert_eq!(h.l1_state(0, A), L1State::I, "A was evicted");
         assert!(h.stats().event(CoherenceEvent::WbDataDirty) >= 1);
         // After the dirty WB the LLC serves the block directly.
         h.issue(Cycle(100_000), 0, CoreRequest::load(A));
-        let c = one(h.run_until_idle());
+        let c = one(h.run_until_idle().expect("protocol error"));
         assert_eq!(c.served_from, ServedFrom::Llc);
         assert_eq!(c.class.llc_before, Some(LlcState::S));
     }
@@ -3817,7 +3812,7 @@ mod tests {
                 t += Cycle(3);
             }
         }
-        let done = h.run_until_idle();
+        let done = h.run_until_idle().expect("protocol error");
         assert_eq!(done.len(), n);
     }
 
@@ -3840,7 +3835,7 @@ mod tests {
                     t += Cycle(7);
                 }
             }
-            let done = h.run_until_idle();
+            let done = h.run_until_idle().expect("protocol error");
             assert_eq!(done.len(), n, "{p}: all requests must complete");
         }
     }
@@ -3864,7 +3859,7 @@ mod tests {
                 t += Cycle(7);
             }
         }
-        let done = h.run_until_idle();
+        let done = h.run_until_idle().expect("protocol error");
         assert_eq!(done.len(), n);
         (h, n)
     }
@@ -3945,7 +3940,7 @@ mod tests {
                 t += Cycle(7);
             }
         }
-        traced.run_until_idle();
+        traced.run_until_idle().expect("protocol error");
         assert_eq!(
             plain.stats(),
             traced.stats(),
@@ -4045,7 +4040,7 @@ mod tests {
             let addr = PhysAddr(0x9_0000 + (i % 4) * 64);
             let core = (i % 4) as usize;
             h.issue(Cycle(i * 500), core, CoreRequest::store(addr));
-            h.run_until_idle();
+            h.run_until_idle().expect("protocol error");
             let holders: Vec<usize> = (0..4)
                 .filter(|&c| h.l1_state(c, addr).load_hits())
                 .collect();

@@ -34,7 +34,7 @@
 //! let mut hier = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::SwiftDir));
 //! // Core 0 loads a write-protected block.
 //! hier.issue(Cycle(0), 0, CoreRequest::load(PhysAddr(0x1000)).write_protected());
-//! let done = hier.run_until_idle();
+//! let done = hier.run_until_idle().expect("protocol error");
 //! assert_eq!(done.len(), 1);
 //! ```
 

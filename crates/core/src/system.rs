@@ -338,6 +338,11 @@ impl System {
     ///
     /// This is the measurement primitive the attack harness uses — the
     /// simulated equivalent of an `rdtsc`-fenced load.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ProtocolError`](swiftdir_coherence::ProtocolError)
+    /// text on an illegal protocol event.
     pub fn timed_access(&mut self, core: usize, pid: ProcessId, va: VirtAddr, op: MemOp) -> Cycle {
         let space = self.processes[pid.0 as usize];
         let mut dtlb = std::mem::replace(&mut self.slots[core].dtlb, Tlb::new(1));
@@ -354,7 +359,7 @@ impl System {
             port.issue(at, va, op)
         };
         self.slots[core].dtlb = dtlb;
-        let completions = self.hier.run_until_idle();
+        let completions = self.hier.run_until_idle().unwrap_or_else(|e| panic!("{e}"));
         let mut latency = Cycle::ZERO;
         for c in &completions {
             self.probe.record(c);

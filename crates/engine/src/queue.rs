@@ -1159,7 +1159,7 @@ mod tests {
     fn repeated_pop_restore_cycles_match_reference_replay() {
         // Fuzz: interleave pop_seq jumps with restores and check the final
         // drain matches a naive queue fed the same surviving schedule set.
-        let mut rng = Rng(0xD1CE_0F_5EED);
+        let mut rng = Rng(0xD1_CE0F_5EED);
         let mut fast: EventQueue<u64> = EventQueue::new();
         let mut slow: NaiveQueue<u64> = NaiveQueue::new();
         let mut payload = 0u64;

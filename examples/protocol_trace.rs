@@ -55,11 +55,11 @@ fn main() {
     section("Figure 1(a) — MESI: remote load of E-state data");
     let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::Mesi));
     h.issue(Cycle(0), 1, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     states(&h, "after core B's initial load");
     let snap = snapshot(&h);
     h.issue(Cycle(1000), 0, CoreRequest::load(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     states(&h, "after core A's remote load ");
     delta(&h, &snap);
     println!(
@@ -70,12 +70,12 @@ fn main() {
     section("Figure 1(b) — MESI: remote load of S-state data");
     let mut h = Hierarchy::new(HierarchyConfig::table_v(3, ProtocolKind::Mesi));
     h.issue(Cycle(0), 1, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 2, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     let snap = snapshot(&h);
     h.issue(Cycle(2000), 0, CoreRequest::load(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     delta(&h, &snap);
     println!(
         "  core A's latency: {} cycles (LLC direct) — the E/S gap is the channel",
@@ -86,10 +86,10 @@ fn main() {
     section("Figure 3(a) — MESI: silent E→M upgrade");
     let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::Mesi));
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     let snap = snapshot(&h);
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     states(&h, "after the store");
     delta(&h, &snap);
     println!(
@@ -100,10 +100,10 @@ fn main() {
     section("Figure 2 / 3(b) — S-MESI: explicit E→M with LLC ACK");
     let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::SMesi));
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     let snap = snapshot(&h);
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     states(&h, "after the store");
     delta(&h, &snap);
     println!(
@@ -116,7 +116,7 @@ fn main() {
     let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::SwiftDir));
     let snap = snapshot(&h);
     h.issue(Cycle(0), 1, CoreRequest::load(X).write_protected());
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     states(&h, "after core B's initial load");
     delta(&h, &snap);
     println!("  I→S directly: no exclusivity, nothing for an attacker to observe");
@@ -124,7 +124,7 @@ fn main() {
     section("Figure 4(b) — SwiftDir: remote load of that data");
     let snap = snapshot(&h);
     h.issue(Cycle(1000), 0, CoreRequest::load(X).write_protected());
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     states(&h, "after core A's remote load ");
     delta(&h, &snap);
     println!(
@@ -136,9 +136,9 @@ fn main() {
     let y = PhysAddr(0x9_0000);
     let snap = snapshot(&h);
     h.issue(Cycle(2000), 0, CoreRequest::load(y));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(3000), 0, CoreRequest::store(y));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     delta(&h, &snap);
     println!(
         "  heap line: load→E, store silent E→M in {} cycle — no overprotection",

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# Runs the simulator performance harness and refreshes BENCH_driver.json.
+# Runs the simulator's host-time harness and refreshes BENCH_driver.json.
 #
-# Honors SWIFTDIR_THREADS for the parallel legs (defaults to at least 4
-# workers so the serial-vs-parallel identity assertions see real
-# interleaving). Extra arguments pass through to the harness; in
-# particular
+# Honors SWIFTDIR_THREADS for the parallel legs. Extra arguments pass
+# through to the harness; in particular
 #
 #   scripts/bench_driver.sh --check
 #
-# re-measures the single-run figure against the committed
-# BENCH_driver.json and fails on a >10% regression (the CI bench smoke).
-# Run from the repository root:
+# re-measures the gated numbers (single run, scale-out, explore
+# throughput, sampler overhead) against the reference constants in
+# crates/bench/src/bin/bench_driver.rs and fails if any gate fails (the
+# CI perf gate). Run from the repository root:
 #
 #   scripts/bench_driver.sh
 set -euo pipefail

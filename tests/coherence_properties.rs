@@ -64,7 +64,7 @@ fn run_ops(protocol: ProtocolKind, ops: &[Op]) -> (Hierarchy, usize) {
         h.issue(t, op.core, req);
         t += Cycle(op.gap);
     }
-    let completions = h.run_until_idle();
+    let completions = h.run_until_idle().expect("protocol error");
     (h, completions.len())
 }
 
@@ -195,7 +195,7 @@ fn mixed_wp_and_private_traffic_quiesces_with_small_caches() {
             h.issue(t, op.core, req);
             t += Cycle(op.gap);
         }
-        let completions = h.run_until_idle();
+        let completions = h.run_until_idle().expect("protocol error");
         assert_eq!(completions.len(), ops.len(), "case {case}: all complete");
     }
 }

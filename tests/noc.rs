@@ -113,7 +113,7 @@ fn mesh_hop_latency_slows_remote_banks_only() {
                 .with_mesh_hop_latency(hop),
         );
         h.issue(Cycle(0), 0, CoreRequest::load(PhysAddr(addr)));
-        let done = h.run_until_idle();
+        let done = h.run_until_idle().expect("protocol error");
         assert_eq!(done.len(), 1);
         done[0].latency().get()
     };
@@ -158,6 +158,7 @@ fn sharding_is_transparent_modulo_dram_channels() {
             t += Cycle(2_000); // far beyond any DRAM round trip
         }
         h.run_until_idle()
+            .expect("protocol error")
             .into_iter()
             .map(|c| (c.req, c.core, c.block, c.class, c.served_from, c.value))
             .collect::<Vec<_>>()
@@ -175,7 +176,7 @@ fn sharded_hierarchy_is_deterministic_under_jitter() {
         let mut h = sharded_64();
         h.set_jitter(0xabcd, 6);
         drive(&mut h, 64, 12);
-        h.run_until_idle()
+        h.run_until_idle().expect("protocol error")
     };
     let a = run();
     let b = run();

@@ -121,14 +121,14 @@ fn install_retries_escalate_to_stall_and_rewake() {
     h.issue(Cycle(900), 0, CoreRequest::load(b));
     h.issue(Cycle(1200), 2, CoreRequest::load(c));
     h.issue(Cycle(1500), 3, CoreRequest::load(c));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
 
     // Both of core 0's ways go SmA (upgrades wait on core 1's InvAcks)
     // while C's grant arrives and finds no stable victim.
     h.issue(Cycle(3000), 0, CoreRequest::store(a));
     h.issue(Cycle(3000), 0, CoreRequest::store(b));
     h.issue(Cycle(3000), 0, CoreRequest::load(c));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(done.len(), 3, "all three racing requests complete");
 
     let metrics = &h.stats().protocol;

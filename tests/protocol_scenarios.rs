@@ -20,11 +20,11 @@ fn figure1a_e_state_request_forwarded_to_owner() {
     let mut h = hier(ProtocolKind::Mesi);
     // Core B (1) loads X: exclusive.
     h.issue(Cycle(0), 1, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     assert_eq!(h.llc_state(X), LlcState::E);
     // Core A (0) requests X: the directory forwards to core B (steps 1-3).
     h.issue(Cycle(1000), 0, CoreRequest::load(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(done[0].served_from, ServedFrom::RemoteL1);
     assert!(h.stats().event(CoherenceEvent::FwdGets) >= 1);
     assert!(h.stats().event(CoherenceEvent::DataFromOwner) >= 1);
@@ -35,14 +35,14 @@ fn figure1b_s_state_request_served_by_llc() {
     let mut h = hier(ProtocolKind::Mesi);
     // Cores B and C load X so it is S everywhere.
     h.issue(Cycle(0), 1, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 2, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     assert_eq!(h.llc_state(X), LlcState::S);
     let fwd_before = h.stats().event(CoherenceEvent::FwdGets);
     // Core A requests X: LLC answers directly (steps 1-2).
     h.issue(Cycle(2000), 0, CoreRequest::load(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(done[0].served_from, ServedFrom::Llc);
     assert_eq!(h.stats().event(CoherenceEvent::FwdGets), fwd_before);
 }
@@ -53,13 +53,13 @@ fn figure1b_s_state_request_served_by_llc() {
 fn figure3a_mesi_silent_upgrade_no_traffic() {
     let mut h = hier(ProtocolKind::Mesi);
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     let events_before: u64 = CoherenceEvent::ALL
         .iter()
         .map(|&e| h.stats().event(e))
         .sum();
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     let events_after: u64 = CoherenceEvent::ALL
         .iter()
         .map(|&e| h.stats().event(e))
@@ -78,9 +78,9 @@ fn figure3a_mesi_silent_upgrade_no_traffic() {
 fn figure2_smesi_explicit_upgrade_handshake() {
     let mut h = hier(ProtocolKind::SMesi);
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     // Steps 2a/3a of Fig. 2: Upgrade then ACK; the LLC moves E→M (3b).
     assert_eq!(h.stats().event(CoherenceEvent::Upgrade), 1);
     assert_eq!(h.llc_state(X), LlcState::M, "M synchronized to the LLC");
@@ -93,7 +93,7 @@ fn figure2_smesi_explicit_upgrade_handshake() {
 fn figure4a_initial_load_of_wp_data_is_i_to_s() {
     let mut h = hier(ProtocolKind::SwiftDir);
     h.issue(Cycle(0), 0, CoreRequest::load(X).write_protected());
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(h.stats().event(CoherenceEvent::GetsWp), 1);
     assert_eq!(h.stats().event(CoherenceEvent::Fetch), 1, "memory fetch");
     assert_eq!(h.stats().event(CoherenceEvent::DataExclusive), 0);
@@ -106,10 +106,10 @@ fn figure4a_initial_load_of_wp_data_is_i_to_s() {
 fn figure4b_remote_load_after_initial_wp_load_served_from_llc() {
     let mut h = hier(ProtocolKind::SwiftDir);
     h.issue(Cycle(0), 0, CoreRequest::load(X).write_protected());
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     let before_b_state = h.l1_state(0, X);
     h.issue(Cycle(1000), 1, CoreRequest::load(X).write_protected());
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(done[0].served_from, ServedFrom::Llc);
     assert_eq!(done[0].latency(), Cycle(17));
     // "neither state transition on ... Core B's L1 nor communication".
@@ -121,7 +121,7 @@ fn figure4b_remote_load_after_initial_wp_load_served_from_llc() {
 fn figure4c_initial_load_of_non_wp_data_is_exclusive() {
     let mut h = hier(ProtocolKind::SwiftDir);
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     assert_eq!(h.stats().event(CoherenceEvent::Gets), 1);
     assert_eq!(h.stats().event(CoherenceEvent::DataExclusive), 1);
     assert_eq!(h.stats().event(CoherenceEvent::ExclusiveUnblock), 1);
@@ -132,9 +132,9 @@ fn figure4c_initial_load_of_non_wp_data_is_exclusive() {
 fn figure4d_store_after_initial_non_wp_load_is_silent() {
     let mut h = hier(ProtocolKind::SwiftDir);
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(done[0].latency(), Cycle(1), "silent upgrade preserved");
     assert_eq!(h.l1_state(0, X), L1State::M);
     assert_eq!(h.stats().event(CoherenceEvent::Upgrade), 0);
@@ -144,9 +144,9 @@ fn figure4d_store_after_initial_non_wp_load_is_silent() {
 fn figure4e_remote_load_after_non_wp_load_forwarded() {
     let mut h = hier(ProtocolKind::SwiftDir);
     h.issue(Cycle(0), 1, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 0, CoreRequest::load(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     assert_eq!(done[0].served_from, ServedFrom::RemoteL1);
     assert!(h.stats().event(CoherenceEvent::FwdGets) >= 1);
     assert!(h.stats().event(CoherenceEvent::WbDataClean) >= 1);
@@ -165,17 +165,17 @@ fn table4_row(p: ProtocolKind) -> (bool, bool) {
     // does it avoid owner forwarding?
     let mut h = hier(p);
     h.issue(Cycle(0), 1, CoreRequest::load(X).write_protected());
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 0, CoreRequest::load(X).write_protected());
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     let shared_from_llc = done[0].served_from != ServedFrom::RemoteL1;
 
     // Feature 2: store to an exclusively-held unshared line — silent?
     let mut h = hier(p);
     h.issue(Cycle(0), 0, CoreRequest::load(X));
-    h.run_until_idle();
+    h.run_until_idle().expect("protocol error");
     h.issue(Cycle(1000), 0, CoreRequest::store(X));
-    let done = h.run_until_idle();
+    let done = h.run_until_idle().expect("protocol error");
     let silent = done[0].latency() == Cycle(1);
     (shared_from_llc, silent)
 }

@@ -150,14 +150,14 @@ fn gets_wp_is_timing_identical_per_bank_on_a_sharded_many_core_machine() {
                 let mut h = Hierarchy::new(cfg);
                 // Core 0's WP load installs the line Shared in its bank.
                 h.issue(Cycle(0), 0, CoreRequest::load(addr).write_protected());
-                h.run_until_idle();
+                h.run_until_idle().expect("protocol error");
                 let req = if wp {
                     CoreRequest::load(addr).write_protected()
                 } else {
                     CoreRequest::load(addr)
                 };
                 let id = h.issue(h.now(), 63, req);
-                let done = h.run_until_idle();
+                let done = h.run_until_idle().expect("protocol error");
                 done.iter()
                     .find(|c| c.req == id)
                     .expect("probe completed")
