@@ -29,7 +29,9 @@ pub type Violation = ProtocolError;
 
 /// One core's view of a block, as collected from the L1 arrays and
 /// installing buffers.
+#[derive(Debug, Clone)]
 struct Holder {
+    block: u64,
     core: usize,
     state: L1State,
     data: u64,
@@ -60,6 +62,9 @@ pub struct Checker {
     /// Golden memory model: the last store value serialized per block
     /// (absent = 0, the value uninitialized memory reads as).
     golden: FxHashMap<u64, u64>,
+    /// Scratch for [`check_structure`](Self::check_structure): every L1
+    /// copy of every block, refilled per audit (its allocation is reused).
+    holders: Vec<Holder>,
 }
 
 impl Checker {
@@ -71,6 +76,12 @@ impl Checker {
     /// The golden value of `block` (0 when never stored to).
     pub fn golden(&self, block: u64) -> u64 {
         self.golden.get(&block).copied().unwrap_or(0)
+    }
+
+    /// Forgets the golden memory, keeping every buffer's allocation: one
+    /// checker can audit scenario after scenario without reallocating.
+    pub fn reset(&mut self) {
+        self.golden.clear();
     }
 
     /// Overwrites this checker's golden memory with `src`'s, reusing the
@@ -129,28 +140,41 @@ impl Checker {
     }
 
     /// The structural invariants: SWMR, directory-superset, transient
-    /// bounds, and shared-data agreement.
-    fn check_structure(&self, h: &Hierarchy) -> Result<(), Box<Violation>> {
-        let cores = h.config().cores;
+    /// bounds, and shared-data agreement. One pass over each L1 fills the
+    /// reused `holders` scratch; sorting it by (block, core) groups every
+    /// block's copies for the per-block rules, so a steady-state audit
+    /// allocates nothing.
+    fn check_structure(&mut self, h: &Hierarchy) -> Result<(), Box<Violation>> {
         let silent_e = h.config().protocol.silent_upgrade();
 
         // Collect every core's view of every block.
-        let mut holders: FxHashMap<u64, Vec<Holder>> = FxHashMap::default();
-        for core in 0..cores {
-            let l1 = &h.l1s[core];
+        let holders = &mut self.holders;
+        holders.clear();
+        for (core, l1) in h.l1s.iter().enumerate() {
             for (block, line) in l1.array.iter() {
-                if let Some(bad) = match line.state {
-                    L1State::IsD | L1State::MiA | L1State::EiA => Some(line.state),
-                    _ => None,
-                } {
-                    return Err(violation(
-                        h,
-                        PhysAddr(block),
-                        Some(core),
-                        format!("L1 array holds buffer-only state {bad}"),
-                    ));
+                match line.state {
+                    L1State::IsD | L1State::MiA | L1State::EiA => {
+                        return Err(violation(
+                            h,
+                            PhysAddr(block),
+                            Some(core),
+                            format!("L1 array holds buffer-only state {}", line.state),
+                        ));
+                    }
+                    // An upgrade transient in the array must have a
+                    // transaction backing it, or it can never leave.
+                    L1State::SmA | L1State::EmA | L1State::ImD if !l1.pending.contains(block) => {
+                        return Err(violation(
+                            h,
+                            PhysAddr(block),
+                            Some(core),
+                            format!("array transient {} has no pending transaction", line.state),
+                        ));
+                    }
+                    _ => {}
                 }
-                holders.entry(block).or_default().push(Holder {
+                holders.push(Holder {
+                    block,
                     core,
                     state: line.state,
                     data: line.data,
@@ -165,7 +189,8 @@ impl Checker {
                         format!("installing buffer holds non-stable grant {}", ins.state),
                     ));
                 }
-                holders.entry(block).or_default().push(Holder {
+                holders.push(Holder {
+                    block,
                     core,
                     state: ins.state,
                     data: ins.data,
@@ -193,43 +218,27 @@ impl Checker {
                     ),
                 ));
             }
-            // An upgrade transient in the array must have a transaction
-            // backing it, or it can never leave.
-            for (block, line) in l1.array.iter() {
-                if matches!(line.state, L1State::SmA | L1State::EmA | L1State::ImD)
-                    && !l1.pending.contains(block)
-                {
+        }
+        holders.sort_unstable_by_key(|x| (x.block, x.core));
+
+        for hs in holders.chunk_by(|a, b| a.block == b.block) {
+            let block = hs[0].block;
+            // --- single writer, multiple readers --------------------------
+            let mut exclusive = hs
+                .iter()
+                .filter(|x| x.state == L1State::M || (silent_e && x.state == L1State::E));
+            if let Some(x) = exclusive.next() {
+                if let Some(y) = exclusive.next() {
                     return Err(violation(
                         h,
                         PhysAddr(block),
-                        Some(core),
-                        format!("array transient {} has no pending transaction", line.state),
+                        Some(y.core),
+                        format!(
+                            "SWMR violated: cores {} and {} both hold the block exclusively ({} / {})",
+                            x.core, y.core, x.state, y.state
+                        ),
                     ));
                 }
-            }
-        }
-
-        for (&block, hs) in &holders {
-            // --- single writer, multiple readers --------------------------
-            let exclusive: Vec<&Holder> = hs
-                .iter()
-                .filter(|x| x.state == L1State::M || (silent_e && x.state == L1State::E))
-                .collect();
-            if exclusive.len() > 1 {
-                return Err(violation(
-                    h,
-                    PhysAddr(block),
-                    Some(exclusive[1].core),
-                    format!(
-                        "SWMR violated: cores {} and {} both hold the block exclusively ({} / {})",
-                        exclusive[0].core,
-                        exclusive[1].core,
-                        exclusive[0].state,
-                        exclusive[1].state
-                    ),
-                ));
-            }
-            if let Some(x) = exclusive.first() {
                 if let Some(other) = hs.iter().find(|o| o.core != x.core && readable(o.state)) {
                     return Err(violation(
                         h,
@@ -333,7 +342,7 @@ impl Checker {
     /// # Errors
     ///
     /// The first residual transient or final-value mismatch.
-    pub fn check_quiescent(&self, h: &Hierarchy) -> Result<(), Box<Violation>> {
+    pub fn check_quiescent(&mut self, h: &Hierarchy) -> Result<(), Box<Violation>> {
         let stuck = h.debug_stuck();
         if !stuck.is_empty() {
             return Err(violation(

@@ -21,7 +21,7 @@ use swiftdir_mem::{MemUndo, MemoryController};
 use swiftdir_mmu::PhysAddr;
 
 use crate::config::HierarchyConfig;
-use crate::metrics::{MetricsCounters, ProtocolMetrics, RequestClass};
+use crate::metrics::{ProtocolMetrics, RequestClass};
 use crate::msg::{CoherenceEvent, EventCounts, Msg};
 use crate::protocol::{InitialGrant, ProtocolKind};
 use crate::slab::{BlockMap, MshrTable};
@@ -425,6 +425,20 @@ enum FrameSide {
     Llc,
 }
 
+/// One statistics update made while an undo frame is open, reversed LIFO
+/// on undo. A step makes a handful of updates, so journaling them is far
+/// cheaper than copying the transition matrices (944 B) and event counts
+/// (152 B) into every frame, let alone the latency histograms.
+#[derive(Debug, Clone, Copy)]
+enum StatRecord {
+    Event(CoherenceEvent),
+    L1(L1State, L1State),
+    Llc(LlcState, LlcState),
+    InstallRetry,
+    InstallStall,
+    Latency(RequestClass, u64, HistogramMark),
+}
+
 /// Everything needed to reverse one [`Hierarchy::try_step_choice`]: the
 /// queue rewind point plus pre-dispatch copies of the small mutable state
 /// the dispatched side may touch. Frames are pooled and refilled so
@@ -438,18 +452,16 @@ struct UndoFrame {
     popped: Option<Event>,
     completions_len: usize,
     next_req: RequestId,
-    /// Flat copies of every accumulated counter (all `Copy`).
-    events: EventCounts,
+    /// Flat copies of the scalar counters.
     l1_hits: u64,
     l1_misses: u64,
     mshr_merges: u64,
     recalls: u64,
     silent_upgrades: u64,
     dispatched: u64,
-    counters: MetricsCounters,
-    /// Latency-histogram records made during this step, reversed LIFO on
-    /// undo (whole-histogram copies would be ~160 KB per frame).
-    lat_records: Vec<(RequestClass, u64, HistogramMark)>,
+    /// Event counts, transition counts, install counters and latency
+    /// records updated during this step.
+    journal: Vec<StatRecord>,
     side: FrameSide,
     // L1-side buffers (valid when `side == L1(_)`); kept allocated across
     // frame reuse via `copy_from`/`clone_from`.
@@ -468,8 +480,17 @@ struct UndoFrame {
     /// can change under an LLC-side event).
     l1_marks: Vec<usize>,
     llc_mark: usize,
-    /// Approximate heap bytes this frame pinned (depth profiling).
-    bytes: u64,
+    /// Approximate heap bytes of the frame and its side copies, fixed at
+    /// creation (see [`UndoFrame::bytes`] for the total).
+    copy_bytes: u64,
+}
+
+impl UndoFrame {
+    /// Approximate heap bytes this frame pins (depth profiling): the
+    /// frame, its side copies, and the statistics journal so far.
+    fn bytes(&self) -> u64 {
+        self.copy_bytes + (self.journal.len() * std::mem::size_of::<StatRecord>()) as u64
+    }
 }
 
 impl Default for UndoFrame {
@@ -481,15 +502,13 @@ impl Default for UndoFrame {
             popped: None,
             completions_len: 0,
             next_req: 0,
-            events: EventCounts::default(),
             l1_hits: 0,
             l1_misses: 0,
             mshr_merges: 0,
             recalls: 0,
             silent_upgrades: 0,
             dispatched: 0,
-            counters: MetricsCounters::default(),
-            lat_records: Vec::new(),
+            journal: Vec::new(),
             side: FrameSide::None,
             l1_pending: MshrTable::new(0),
             l1_wb: BlockMap::new(),
@@ -501,7 +520,7 @@ impl Default for UndoFrame {
             mem_image: FxHashMap::default(),
             l1_marks: Vec::new(),
             llc_mark: 0,
-            bytes: 0,
+            copy_bytes: 0,
         }
     }
 }
@@ -588,6 +607,25 @@ pub(crate) type PResult = Result<(), Box<ProtocolError>>;
 /// `(relative time, link key, rank within link, payload hash)`.
 type FrontierItem = (u64, (u8, u64, u64), u64, u64);
 
+/// Reused buffers for [`Hierarchy::state_digest_cached`]: every sort a
+/// digest needs happens in these, so a warm digest allocates nothing.
+#[derive(Debug, Default)]
+struct DigestScratch {
+    /// Per-L1 array content digests.
+    l1: Vec<u64>,
+    /// Per-bank array content digests.
+    banks: Vec<u64>,
+    /// Pending events; the rank slot holds the sequence number until
+    /// ranks are assigned.
+    items: Vec<FrontierItem>,
+    /// Sorted keys of one map (MSHR blocks, stalled sets).
+    keys: Vec<u64>,
+    /// `(block, state, data)` of one L1 side buffer.
+    entries: Vec<(u64, L1State, u64)>,
+    /// One bank's DRAM image.
+    image: Vec<(u64, u64)>,
+}
+
 /// The coherent two-level hierarchy.
 ///
 /// Cores [`issue`](Hierarchy::issue) timed requests; the hierarchy is
@@ -623,11 +661,8 @@ pub struct Hierarchy {
     mesh: MeshTopology,
     /// Step-reversal log (inactive until [`enable_undo`](Self::enable_undo)).
     undo: UndoLog,
-    /// Scratch for per-L1 content digests in
-    /// [`state_digest_cached`](Self::state_digest_cached).
-    digest_l1_scratch: Vec<u64>,
-    /// Scratch for per-bank content digests, same purpose.
-    digest_bank_scratch: Vec<u64>,
+    /// Scratch for [`state_digest_cached`](Self::state_digest_cached).
+    digest: DigestScratch,
 }
 
 impl Hierarchy {
@@ -663,8 +698,7 @@ impl Hierarchy {
             tracer: Tracer::disabled(),
             jitter: None,
             undo: UndoLog::default(),
-            digest_l1_scratch: Vec::new(),
-            digest_bank_scratch: Vec::new(),
+            digest: DigestScratch::default(),
             mesh: MeshTopology::new(cfg.cores, cfg.banks, cfg.mesh_hop_latency),
             cfg,
         }
@@ -777,6 +811,11 @@ impl Hierarchy {
     /// Current simulated time (timestamp of the last processed event).
     pub fn now(&self) -> Cycle {
         self.queue.now()
+    }
+
+    /// Whether no event is pending (the hierarchy has quiesced).
+    pub fn is_idle(&self) -> bool {
+        self.queue.is_empty()
     }
 
     /// Timestamp of the next internal event, if any.
@@ -1022,8 +1061,7 @@ impl Hierarchy {
             // The undo log is a traversal artifact, not hierarchy state: a
             // fork starts its own (callers re-arm with `enable_undo`).
             undo: UndoLog::default(),
-            digest_l1_scratch: Vec::new(),
-            digest_bank_scratch: Vec::new(),
+            digest: DigestScratch::default(),
             mesh: self.mesh,
         }
     }
@@ -1222,7 +1260,7 @@ impl Hierarchy {
     /// Approximate heap bytes pinned by the most recent undo frame (0 when
     /// none) — the per-step cost the depth profiler reports.
     pub fn undo_frame_bytes(&self) -> u64 {
-        self.undo.frames.last().map_or(0, |f| f.bytes)
+        self.undo.frames.last().map_or(0, |f| f.bytes())
     }
 
     /// Approximate heap bytes pinned by the whole undo log: every live
@@ -1230,7 +1268,7 @@ impl Hierarchy {
     /// sized by their last use). Memory-accounting telemetry samples
     /// this; it is `O(frames)` and touches nothing.
     pub fn undo_log_bytes(&self) -> u64 {
-        let sum = |frames: &[Box<UndoFrame>]| frames.iter().map(|f| f.bytes).sum::<u64>();
+        let sum = |frames: &[Box<UndoFrame>]| frames.iter().map(|f| f.bytes()).sum::<u64>();
         sum(&self.undo.frames) + sum(&self.undo.pool)
     }
 
@@ -1274,15 +1312,13 @@ impl Hierarchy {
         f.popped = Some(ev.clone());
         f.completions_len = self.completions.len();
         f.next_req = self.next_req;
-        f.events = self.stats.events;
         f.l1_hits = self.stats.l1_hits;
         f.l1_misses = self.stats.l1_misses;
         f.mshr_merges = self.stats.mshr_merges;
         f.recalls = self.stats.recalls;
         f.silent_upgrades = self.stats.silent_upgrades;
         f.dispatched = self.stats.dispatched;
-        f.counters = self.stats.protocol.counters_snapshot();
-        f.lat_records.clear();
+        f.journal.clear();
         f.l1_marks.clear();
         for l1 in &self.l1s {
             f.l1_marks.push(l1.array.journal_mark());
@@ -1324,7 +1360,7 @@ impl Hierarchy {
                 FrameSide::Llc
             }
         };
-        f.bytes = std::mem::size_of::<UndoFrame>() as u64 + side_bytes;
+        f.copy_bytes = std::mem::size_of::<UndoFrame>() as u64 + side_bytes;
         self.undo.frames.push(f);
     }
 
@@ -1338,16 +1374,22 @@ impl Hierarchy {
             .restore_mark(f.qmark, f.popped_origin, f.popped_seq, ev);
         self.completions.truncate(f.completions_len);
         self.next_req = f.next_req;
-        self.stats.events = f.events;
         self.stats.l1_hits = f.l1_hits;
         self.stats.l1_misses = f.l1_misses;
         self.stats.mshr_merges = f.mshr_merges;
         self.stats.recalls = f.recalls;
         self.stats.silent_upgrades = f.silent_upgrades;
         self.stats.dispatched = f.dispatched;
-        self.stats.protocol.restore_counters(&f.counters);
-        for (class, cycles, hmark) in f.lat_records.drain(..).rev() {
-            self.stats.protocol.unrecord_latency(class, cycles, hmark);
+        let m = &mut self.stats.protocol;
+        for r in f.journal.drain(..).rev() {
+            match r {
+                StatRecord::Event(e) => self.stats.events.unbump(e),
+                StatRecord::L1(from, to) => m.unrecord_l1(from, to),
+                StatRecord::Llc(from, to) => m.unrecord_llc(from, to),
+                StatRecord::InstallRetry => m.unrecord_install_retry(),
+                StatRecord::InstallStall => m.unrecord_install_stall(),
+                StatRecord::Latency(class, cycles, mark) => m.unrecord_latency(class, cycles, mark),
+            }
         }
         for (l1, &mark) in self.l1s.iter_mut().zip(&f.l1_marks) {
             l1.array.journal_rollback(mark);
@@ -1385,17 +1427,14 @@ impl Hierarchy {
     /// disabled (exploration owns delivery-order variation; the jitter
     /// rng's internal state is deliberately not hashed).
     pub fn state_digest(&self) -> u64 {
-        let l1_digests: Vec<u64> = self
-            .l1s
-            .iter()
-            .map(|l1| l1.array.content_digest_uncached())
-            .collect();
-        let bank_digests: Vec<u64> = self
-            .banks
-            .iter()
-            .map(|b| b.array.content_digest_uncached())
-            .collect();
-        self.state_digest_with(&l1_digests, &bank_digests)
+        let mut scratch = DigestScratch::default();
+        for l1 in &self.l1s {
+            scratch.l1.push(l1.array.content_digest_uncached());
+        }
+        for bank in &self.banks {
+            scratch.banks.push(bank.array.content_digest_uncached());
+        }
+        self.state_digest_with(&mut scratch)
     }
 
     /// [`state_digest`](Self::state_digest) with the cache-array portions
@@ -1403,29 +1442,29 @@ impl Hierarchy {
     /// only sets mutated since the last call are rehashed, killing the
     /// per-leaf full-state scan in the schedule explorer. Bit-identical to
     /// `state_digest` (the rolling digest re-derives exactly the rescan's
-    /// per-set hashes; the cache is behaviorally invisible).
+    /// per-set hashes; the cache is behaviorally invisible). Every buffer
+    /// is reused, so a warm call allocates nothing.
     pub fn state_digest_cached(&mut self) -> u64 {
-        let mut scratch = std::mem::take(&mut self.digest_l1_scratch);
-        scratch.clear();
+        let mut scratch = std::mem::take(&mut self.digest);
+        scratch.l1.clear();
         for l1 in &mut self.l1s {
-            scratch.push(l1.array.content_digest());
+            scratch.l1.push(l1.array.content_digest());
         }
-        let mut bank_scratch = std::mem::take(&mut self.digest_bank_scratch);
-        bank_scratch.clear();
+        scratch.banks.clear();
         for bank in &mut self.banks {
-            bank_scratch.push(bank.array.content_digest());
+            scratch.banks.push(bank.array.content_digest());
         }
-        let digest = self.state_digest_with(&scratch, &bank_scratch);
-        self.digest_l1_scratch = scratch;
-        self.digest_bank_scratch = bank_scratch;
+        let digest = self.state_digest_with(&mut scratch);
+        self.digest = scratch;
         digest
     }
 
     /// Digest core: everything outside the cache arrays is hashed here;
-    /// the arrays' content digests (one per L1, one per bank) are mixed
-    /// in as opaque words so the cached and uncached entry points share
-    /// every byte of this logic.
-    fn state_digest_with(&self, l1_digests: &[u64], bank_digests: &[u64]) -> u64 {
+    /// the arrays' content digests (`s.l1`, `s.banks`) are mixed in as
+    /// opaque words so the cached and uncached entry points share every
+    /// byte of this logic. Unordered maps are hashed in key order, sorted
+    /// in `s`'s buffers.
+    fn state_digest_with(&self, s: &mut DigestScratch) -> u64 {
         use std::hash::{Hash, Hasher};
         debug_assert!(
             self.jitter.is_none(),
@@ -1436,40 +1475,48 @@ impl Hierarchy {
         let mut h = sim_engine::FxHasher::default();
 
         // Pending events, canonicalized: (relative time, link, rank-in-link).
-        let mut pend = Vec::new();
-        self.queue.for_each_pending(|p| pend.push(p));
-        pend.sort_by_key(|p| p.seq);
-        let mut link_ranks: FxHashMap<(u8, u64, u64), u64> = FxHashMap::default();
-        let mut items: Vec<FrontierItem> = Vec::with_capacity(pend.len());
-        for p in &pend {
+        // Sorted on (link, seq), each link's events sit in send order, so
+        // an event's rank is its offset in its link's run.
+        s.items.clear();
+        self.queue.for_each_pending(|p| {
             let key = self.link_key(p.event);
-            let rank = link_ranks.entry(key).or_insert(0);
-            items.push((rel(p.at), key, *rank, Self::event_digest(p.event, now)));
-            *rank += 1;
+            s.items
+                .push((rel(p.at), key, p.seq, Self::event_digest(p.event, now)));
+        });
+        s.items.sort_unstable_by_key(|&(_, key, seq, _)| (key, seq));
+        for link in s.items.chunk_by_mut(|a, b| a.1 == b.1) {
+            for (rank, item) in link.iter_mut().enumerate() {
+                item.2 = rank as u64;
+            }
         }
-        items.sort_unstable();
-        items.hash(&mut h);
+        s.items.sort_unstable();
+        s.items.hash(&mut h);
 
-        for (l1, digest) in self.l1s.iter().zip(l1_digests) {
+        for (l1, digest) in self.l1s.iter().zip(&s.l1) {
             0xA11C_A5E5u64.hash(&mut h);
             digest.hash(&mut h);
-            let mut pending: Vec<_> = l1.pending.iter().collect();
-            pending.sort_by_key(|(b, _)| *b);
-            for (block, reqs) in pending {
+            s.keys.clear();
+            s.keys.extend(l1.pending.iter().map(|(b, _)| b));
+            s.keys.sort_unstable();
+            for &block in &s.keys {
                 block.hash(&mut h);
-                for r in reqs {
+                for r in l1.pending.get(block).unwrap_or_default() {
                     (r.id, r.block.0, r.kind, r.wp, rel(r.issued_at), r.l1_before).hash(&mut h);
                 }
             }
-            let mut wb: Vec<_> = l1.wb_buffer.iter().collect();
-            wb.sort_by_key(|(b, _)| *b);
-            for (block, e) in wb {
-                (block, e.state, e.data).hash(&mut h);
+            s.entries.clear();
+            s.entries
+                .extend(l1.wb_buffer.iter().map(|(b, e)| (b, e.state, e.data)));
+            s.entries.sort_unstable_by_key(|e| e.0);
+            for e in &s.entries {
+                e.hash(&mut h);
             }
-            let mut ins: Vec<_> = l1.installing.iter().collect();
-            ins.sort_by_key(|(b, _)| *b);
-            for (block, e) in ins {
-                (block, e.state, e.data).hash(&mut h);
+            s.entries.clear();
+            s.entries
+                .extend(l1.installing.iter().map(|(b, e)| (b, e.state, e.data)));
+            s.entries.sort_unstable_by_key(|e| e.0);
+            for e in &s.entries {
+                e.hash(&mut h);
             }
             // Wake order is behavioral: hash in place.
             l1.stalled_installs.hash(&mut h);
@@ -1479,26 +1526,29 @@ impl Hierarchy {
         // hash through `LlcLine: Hash` inside the array content digests,
         // one section per bank (single-bank streams match the pre-sharded
         // layout byte for byte).
-        for (bank, digest) in self.banks.iter().zip(bank_digests) {
+        for (bank, digest) in self.banks.iter().zip(&s.banks) {
             0x11C0_FFEEu64.hash(&mut h);
             digest.hash(&mut h);
-            let mut stalls: Vec<_> = bank
-                .set_stalls
-                .iter()
-                .filter(|(_, q)| !q.is_empty())
-                .collect();
-            stalls.sort_by_key(|(s, _)| **s);
-            for (set, q) in stalls {
+            s.keys.clear();
+            s.keys.extend(
+                bank.set_stalls
+                    .iter()
+                    .filter(|(_, q)| !q.is_empty())
+                    .map(|(&set, _)| set),
+            );
+            s.keys.sort_unstable();
+            for set in &s.keys {
                 set.hash(&mut h);
-                for m in q {
+                for m in &bank.set_stalls[set] {
                     m.hash(&mut h);
                 }
             }
 
             bank.mem.digest_into(now, &mut |x| x.hash(&mut h));
-            let mut image: Vec<_> = bank.mem_image.iter().collect();
-            image.sort_unstable();
-            image.hash(&mut h);
+            s.image.clear();
+            s.image.extend(bank.mem_image.iter().map(|(&b, &v)| (b, v)));
+            s.image.sort_unstable();
+            s.image.hash(&mut h);
         }
         self.next_req.hash(&mut h);
         h.finish()
@@ -1627,7 +1677,27 @@ impl Hierarchy {
     }
 
     fn count(&mut self, e: CoherenceEvent) {
+        self.journal(StatRecord::Event(e));
         self.stats.events.bump(e);
+    }
+
+    /// Records a statistics update in the open undo frame, if any (frames
+    /// exist only while the undo log is armed).
+    #[inline]
+    fn journal(&mut self, r: StatRecord) {
+        if !self.undo.frames.is_empty() {
+            self.journal_push(r);
+        }
+    }
+
+    /// The push behind [`journal`](Self::journal), kept out of line so
+    /// the handlers stay as small as they are without an undo log.
+    #[cold]
+    #[inline(never)]
+    fn journal_push(&mut self, r: StatRecord) {
+        if let Some(frame) = self.undo.frames.last_mut() {
+            frame.journal.push(r);
+        }
     }
 
     fn lat(&self) -> crate::config::LatencyConfig {
@@ -1644,6 +1714,9 @@ impl Hierarchy {
         from: L1State,
         to: L1State,
     ) {
+        if from != to {
+            self.journal(StatRecord::L1(from, to));
+        }
         self.stats.protocol.record_l1(from, to);
         self.tracer.emit(|| TraceEvent {
             at: now,
@@ -1661,6 +1734,9 @@ impl Hierarchy {
     /// Records an LLC directory state change.
     #[inline]
     fn llc_transition(&mut self, now: Cycle, addr: PhysAddr, from: LlcState, to: LlcState) {
+        if from != to {
+            self.journal(StatRecord::Llc(from, to));
+        }
         self.stats.protocol.record_llc(from, to);
         self.tracer.emit(|| TraceEvent {
             at: now,
@@ -1841,12 +1917,9 @@ impl Hierarchy {
             self.cfg.protocol == ProtocolKind::SwiftDir,
             served_from,
         );
-        if let Some(frame) = self.undo.frames.last_mut() {
-            // Journal the record so the undo frame can reverse it LIFO —
-            // copying whole histograms per frame would dwarf every other
-            // undo cost. (Frames exist only while the undo log is armed.)
+        if !self.undo.frames.is_empty() {
             let mark = self.stats.protocol.latency_mark(class);
-            frame.lat_records.push((class, latency.get(), mark));
+            self.journal_push(StatRecord::Latency(class, latency.get(), mark));
         }
         self.stats.protocol.record_latency(class, latency.get());
         self.tracer.emit(|| TraceEvent {
@@ -2169,6 +2242,7 @@ impl Hierarchy {
                 }
                 None if attempt < INSTALL_RETRY_LIMIT => {
                     // Every way is mid-transaction; retry shortly.
+                    self.journal(StatRecord::InstallRetry);
                     self.stats.protocol.record_install_retry();
                     self.queue.schedule(
                         now + Cycle(INSTALL_RETRY_DELAY),
@@ -2183,6 +2257,7 @@ impl Hierarchy {
                 None => {
                     // Retries exhausted: park until something in this set
                     // completes or invalidates, then re-wake.
+                    self.journal(StatRecord::InstallStall);
                     self.stats.protocol.record_install_stall();
                     if !self.l1s[core].stalled_installs.contains(&block.0) {
                         self.l1s[core].stalled_installs.push(block.0);

@@ -121,27 +121,6 @@ pub struct ProtocolMetrics {
     install_stalls: u64,
 }
 
-/// Flat `Copy` snapshot of [`ProtocolMetrics`]' non-histogram counters;
-/// see [`ProtocolMetrics::counters_snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricsCounters {
-    l1: [[u64; L1State::COUNT]; L1State::COUNT],
-    llc: [[u64; LlcState::COUNT]; LlcState::COUNT],
-    install_retries: u64,
-    install_stalls: u64,
-}
-
-impl Default for MetricsCounters {
-    fn default() -> Self {
-        MetricsCounters {
-            l1: [[0; L1State::COUNT]; L1State::COUNT],
-            llc: [[0; LlcState::COUNT]; LlcState::COUNT],
-            install_retries: 0,
-            install_stalls: 0,
-        }
-    }
-}
-
 impl Default for ProtocolMetrics {
     fn default() -> Self {
         ProtocolMetrics {
@@ -242,28 +221,25 @@ impl ProtocolMetrics {
         self.install_stalls
     }
 
-    /// Copies every `Copy`-sized counter (both transition matrices and the
-    /// install counters) into a flat snapshot. The latency histograms are
-    /// deliberately excluded — they are journaled per-record via
-    /// [`latency_mark`](Self::latency_mark) /
-    /// [`unrecord_latency`](Self::unrecord_latency) because a full
-    /// histogram copy is [`LATENCY_CAP`]-sized.
-    pub fn counters_snapshot(&self) -> MetricsCounters {
-        MetricsCounters {
-            l1: self.l1,
-            llc: self.llc,
-            install_retries: self.install_retries,
-            install_stalls: self.install_stalls,
-        }
+    /// Reverses one [`record_l1`](Self::record_l1) of a real transition
+    /// (undo-log replay).
+    pub(crate) fn unrecord_l1(&mut self, from: L1State, to: L1State) {
+        self.l1[from.index()][to.index()] -= 1;
     }
 
-    /// Restores counters captured by
-    /// [`counters_snapshot`](Self::counters_snapshot).
-    pub fn restore_counters(&mut self, snap: &MetricsCounters) {
-        self.l1 = snap.l1;
-        self.llc = snap.llc;
-        self.install_retries = snap.install_retries;
-        self.install_stalls = snap.install_stalls;
+    /// Reverses one [`record_llc`](Self::record_llc) of a real transition.
+    pub(crate) fn unrecord_llc(&mut self, from: LlcState, to: LlcState) {
+        self.llc[from.index()][to.index()] -= 1;
+    }
+
+    /// Reverses one [`record_install_retry`](Self::record_install_retry).
+    pub(crate) fn unrecord_install_retry(&mut self) {
+        self.install_retries -= 1;
+    }
+
+    /// Reverses one [`record_install_stall`](Self::record_install_stall).
+    pub(crate) fn unrecord_install_stall(&mut self) {
+        self.install_stalls -= 1;
     }
 
     /// Pre-record mark for one class's latency histogram; pair with

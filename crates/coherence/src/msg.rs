@@ -383,6 +383,11 @@ impl EventCounts {
         self.0[e as usize] += 1;
     }
 
+    /// Reverses one [`bump`](Self::bump) of `e` (undo-log replay).
+    pub(crate) fn unbump(&mut self, e: CoherenceEvent) {
+        self.0[e as usize] -= 1;
+    }
+
     /// Adds `n` occurrences of `e`.
     #[inline]
     pub fn add(&mut self, e: CoherenceEvent, n: u64) {

@@ -90,6 +90,11 @@ impl<V> MshrTable<V> {
     }
 
     /// The queued requests of `block`'s transaction, if one is open.
+    pub(crate) fn get(&self, block: u64) -> Option<&[V]> {
+        self.pos(block).map(|i| self.reqs[i].as_slice())
+    }
+
+    /// The queued requests of `block`'s transaction, if one is open.
     pub(crate) fn get_mut(&mut self, block: u64) -> Option<&mut Vec<V>> {
         self.pos(block).map(|i| &mut self.reqs[i])
     }

@@ -579,9 +579,10 @@ struct Walker {
     /// split). Set by [`explore_campaign`] — fixed or adaptive.
     split_depth: usize,
     tasks_emitted: usize,
-    /// Recycled per-depth frontier buffers: [`Walker::dfs`] pops one,
-    /// fills it via [`Hierarchy::frontier_choices_into`], and returns it
-    /// after the subtree — steady-state walking allocates nothing.
+    /// Recycled choice buffers: [`Walker::visit`] pops one for its
+    /// frontier (filled via [`Hierarchy::frontier_choices_into`]), one for
+    /// its `barred` set and one for each child's sleep set, and returns
+    /// them after the subtree — steady-state walking allocates nothing.
     choice_pool: Vec<Vec<Choice>>,
     /// Link-key scratch for [`Hierarchy::frontier_choices_into`].
     choice_keys: Vec<(u8, u64, u64)>,
@@ -695,26 +696,11 @@ impl Walker {
             }
         }
 
-        let mut choices = self.choice_pool.pop().unwrap_or_default();
-        h.frontier_choices_into(Cycle(self.ecfg.window), &mut self.choice_keys, &mut choices);
-        let ok = if choices.is_empty() {
-            self.leaf(h, depth)
-        } else {
-            self.visit(h, sleep, depth, &choices)
-        };
-        choices.clear();
-        self.choice_pool.push(choices);
-        ok
-    }
-
-    /// Explores a non-leaf node whose frontier is `choices`.
-    fn visit(
-        &mut self,
-        h: &mut Hierarchy,
-        sleep: &[Choice],
-        depth: usize,
-        choices: &[Choice],
-    ) -> bool {
+        // Node order: leaf, depth bound, digest and prune, task hand-off,
+        // then the frontier — a pruned or handed-off node never builds one.
+        if h.is_idle() {
+            return self.leaf(h, depth);
+        }
         if depth >= self.ecfg.max_depth {
             self.report.truncated = true;
             return true;
@@ -761,35 +747,66 @@ impl Walker {
             self.report.task_cap_hits += 1;
         }
 
+        let mut choices = self.choice_pool.pop().unwrap_or_default();
+        h.frontier_choices_into(Cycle(self.ecfg.window), &mut self.choice_keys, &mut choices);
+        // A link's oldest event can be due later than a younger one on
+        // the same link, so a non-empty queue may still offer no choice
+        // inside the window: such a node ends its schedule as a leaf,
+        // which reports the missing completions.
+        let ok = if choices.is_empty() {
+            self.leaf(h, depth)
+        } else {
+            self.visit(h, sleep, depth, &choices)
+        };
+        self.recycle(choices);
+        ok
+    }
+
+    /// Returns a choice buffer to the pool.
+    fn recycle(&mut self, mut buf: Vec<Choice>) {
+        buf.clear();
+        self.choice_pool.push(buf);
+    }
+
+    /// Walks each child of a non-leaf node whose frontier is `choices`.
+    fn visit(
+        &mut self,
+        h: &mut Hierarchy,
+        sleep: &[Choice],
+        depth: usize,
+        choices: &[Choice],
+    ) -> bool {
         // `barred` grows as siblings are explored: after walking the
         // subtree that delivers `a` first, later siblings only need to
         // consider `a` after some dependent event (sleep-set reduction).
-        let mut barred: Vec<Choice> = sleep.to_vec();
+        let mut barred = self.choice_pool.pop().unwrap_or_default();
+        barred.extend_from_slice(sleep);
+        let mut child_sleep = self.choice_pool.pop().unwrap_or_default();
+        let mut ok = true;
         for choice in choices {
             if self.ecfg.sleep_sets && barred.iter().any(|s| s.seq == choice.seq) {
                 self.report.sleep_skipped += 1;
                 continue;
             }
-            let child_sleep: Vec<Choice> = if self.ecfg.sleep_sets {
-                barred
-                    .iter()
-                    .filter(|s| independent(s, choice))
-                    .copied()
-                    .collect()
-            } else {
-                Vec::new()
-            };
+            child_sleep.clear();
+            if self.ecfg.sleep_sets {
+                child_sleep.extend(barred.iter().filter(|s| independent(s, choice)));
+            }
 
             if !self.step_into(h, choice, &child_sleep, depth) {
-                return false;
+                ok = false;
+                break;
             }
             if self.report.schedules >= self.ecfg.max_schedules {
                 self.report.truncated = true;
-                return false;
+                ok = false;
+                break;
             }
             barred.push(*choice);
         }
-        true
+        self.recycle(barred);
+        self.recycle(child_sleep);
+        ok
     }
 
     /// Packages the node under `h` as a task: deferred to the worker
@@ -918,13 +935,13 @@ impl Walker {
             ));
             return false;
         }
-        let checker = &self.checkers[depth];
         if self.ecfg.check_invariants {
-            if let Err(v) = checker.check_quiescent(h) {
+            if let Err(v) = self.checkers[depth].check_quiescent(h) {
                 self.fail(format!("quiescence violation: {v}"));
                 return false;
             }
         }
+        let checker = &self.checkers[depth];
         self.report.schedules += 1;
         self.report.coverage.add(h.stats());
 

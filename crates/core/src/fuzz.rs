@@ -325,10 +325,13 @@ fn run_ops(
     let run_span = progress.map(|p| p.counters().span("run"));
     let mut fault = fault.copied();
     let mut checker = Checker::new();
-    let mut log: Vec<Completion> = Vec::with_capacity(cfg.ops);
+    // The hierarchy's completion list is never drained mid-run: it is
+    // the serialization-order log, and each event's completions are its
+    // tail since the pre-step length.
     let mut events = 0u64;
     let mut last_progress = 0u64;
     let mut failure = loop {
+        let mark = h.completions_len();
         match h.try_step() {
             Err(e) => {
                 break Some(FuzzFailure {
@@ -345,20 +348,18 @@ fn run_ops(
                 flush_fuzz_telemetry(p, &h, FUZZ_TELEMETRY_EVERY);
             }
         }
-        let done = h.drain_completions();
+        let done = h.completions_since(mark);
         if !done.is_empty() {
             last_progress = events;
         }
-        let audit = checker.after_event(&h, &done);
-        log.extend(done);
-        if let Err(v) = audit {
+        if let Err(v) = checker.after_event(&h, done) {
             break Some(FuzzFailure {
                 kind: FuzzFailureKind::Invariant,
                 detail: v.to_string(),
             });
         }
         if let Some(f) = fault {
-            if log.len() >= f.after_completions {
+            if h.completions_len() >= f.after_completions {
                 h.test_force_l1_state(f.core, PhysAddr(f.addr), L1State::M, f.value);
                 fault = None;
             }
@@ -377,6 +378,7 @@ fn run_ops(
     };
     drop(run_span);
 
+    let log = h.completions_since(0);
     let check_span = progress.map(|p| p.counters().span("check"));
     if failure.is_none() {
         if let Err(v) = checker.check_quiescent(&h) {
@@ -404,7 +406,7 @@ fn run_ops(
         config: *cfg,
         completions: log.len(),
         events,
-        digest: digest(&log),
+        digest: digest(log),
         install_retries: h.stats().protocol.install_retries(),
         install_stalls: h.stats().protocol.install_stalls(),
         stats: h.stats().clone(),

@@ -182,6 +182,89 @@ fn checker_flags_planted_directory_loss() {
     );
 }
 
+/// Runs `checker.after_event` on `h` with no completions and returns the
+/// violation's detail, failing the test if the audit passes.
+fn planted_violation(h: &Hierarchy, what: &str) -> String {
+    Checker::new().after_event(h, &[]).expect_err(what).detail
+}
+
+/// A hierarchy where core 0 has loaded block 0x40 under MSI: the LLC
+/// line is shared-clean with core 0 as its one tracked sharer.
+fn msi_shared_block() -> Hierarchy {
+    let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::Msi));
+    h.issue(Cycle(0), 0, CoreRequest::load(PhysAddr(0x40)));
+    h.run_until_idle().expect("protocol error");
+    Checker::new()
+        .after_event(&h, &[])
+        .expect("a plain load leaves a consistent hierarchy");
+    h
+}
+
+/// A transient that only lives in the installing or writeback buffers
+/// (here `IS_D`) planted in the L1 array must be rejected.
+#[test]
+fn checker_flags_planted_buffer_only_state_in_array() {
+    let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::Mesi));
+    h.test_force_l1_state(0, PhysAddr(0x40), L1State::IsD, 0);
+    let detail = planted_violation(&h, "IS_D in the array must be rejected");
+    assert!(
+        detail.contains("buffer-only state"),
+        "unexpected detail: {detail}"
+    );
+}
+
+/// An upgrade transient in the array with no MSHR entry behind it can
+/// never leave; the checker must say so.
+#[test]
+fn checker_flags_planted_array_transient_without_mshr() {
+    let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::Mesi));
+    h.test_force_l1_state(0, PhysAddr(0x40), L1State::SmA, 0);
+    let detail = planted_violation(&h, "an orphaned SM_A must be rejected");
+    assert!(
+        detail.contains("has no pending transaction"),
+        "unexpected detail: {detail}"
+    );
+}
+
+/// One core in M while another can still read the block as S: the
+/// reader half of SWMR.
+#[test]
+fn checker_flags_planted_reader_beside_exclusive_copy() {
+    let mut h = Hierarchy::new(HierarchyConfig::table_v(2, ProtocolKind::Mesi));
+    h.test_force_l1_state(0, PhysAddr(0x40), L1State::M, 1);
+    h.test_force_l1_state(1, PhysAddr(0x40), L1State::S, 1);
+    let detail = planted_violation(&h, "S beside M must be rejected");
+    assert!(
+        detail.contains("can still read it"),
+        "unexpected detail: {detail}"
+    );
+}
+
+/// A readable copy on a core the directory line neither lists as
+/// sharer nor owner (nor serves in flight) is under-tracked.
+#[test]
+fn checker_flags_planted_directory_under_tracking() {
+    let mut h = msi_shared_block();
+    h.test_force_l1_state(1, PhysAddr(0x40), L1State::S, 0);
+    let detail = planted_violation(&h, "an untracked sharer must be rejected");
+    assert!(
+        detail.contains("directory under-tracks"),
+        "unexpected detail: {detail}"
+    );
+}
+
+/// A tracked S copy whose data disagrees with the shared-clean LLC line.
+#[test]
+fn checker_flags_planted_shared_data_mismatch() {
+    let mut h = msi_shared_block();
+    h.test_force_l1_state(0, PhysAddr(0x40), L1State::S, 7);
+    let detail = planted_violation(&h, "stale shared data must be rejected");
+    assert!(
+        detail.contains("shared-data mismatch"),
+        "unexpected detail: {detail}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Minimizer outcomes on non-reproducing inputs
 // ---------------------------------------------------------------------------
