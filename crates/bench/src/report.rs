@@ -86,6 +86,7 @@ pub fn render_snapshot(label: &str, snap: &Json) -> Result<String, String> {
         let _ = writeln!(out, "\n  (no \"metrics\" section in this snapshot)");
     }
     events(&mut out, snap);
+    dispatch(&mut out, snap);
     memory(&mut out, snap);
     Ok(out)
 }
@@ -203,6 +204,18 @@ fn events(out: &mut String, snap: &Json) {
     }
 }
 
+fn dispatch(out: &mut String, snap: &Json) {
+    let Some(h) = snap.get("hierarchy") else {
+        return;
+    };
+    let (dispatched, polls) = (get_u64(h, "dispatched"), get_u64(h, "mshr_polls"));
+    let _ = writeln!(
+        out,
+        "\nSimulated events: {dispatched} dispatched, {polls} of them MSHR-full re-polls ({:.1}%)",
+        100.0 * polls as f64 / dispatched.max(1) as f64,
+    );
+}
+
 fn memory(out: &mut String, snap: &Json) {
     let Some(mem) = snap.get("memory") else {
         return;
@@ -231,6 +244,13 @@ mod tests {
             (
                 "events",
                 Json::object([("GETS", Json::Uint(7)), ("GETX", Json::Uint(0))]),
+            ),
+            (
+                "hierarchy",
+                Json::object([
+                    ("dispatched", Json::Uint(40)),
+                    ("mshr_polls", Json::Uint(10)),
+                ]),
             ),
             (
                 "memory",
@@ -270,6 +290,10 @@ mod tests {
         assert!(text.contains("GETS=7"), "{text}");
         assert!(!text.contains("GETX=0"), "zero counts are elided: {text}");
         assert!(text.contains("row-hit rate 0.50"), "{text}");
+        assert!(
+            text.contains("40 dispatched, 10 of them MSHR-full re-polls (25.0%)"),
+            "{text}"
+        );
         assert!(text.contains("Hit"), "{text}");
     }
 

@@ -166,9 +166,15 @@ pub struct HierarchyStats {
     pub recalls: u64,
     /// Silent E→M upgrades performed in L1s.
     pub silent_upgrades: u64,
-    /// Total simulator events dispatched (the denominator of event
-    /// throughput in driver reports).
+    /// Simulated events dispatched (the denominator of event throughput
+    /// in driver reports). A poll group is one queue event but counts
+    /// each member, so this is the count of one event per request retry.
     pub dispatched: u64,
+    /// Retries scheduled for requests stalled on a full MSHR file, one per
+    /// stall. Each is dispatched once it delivers (as a poll group member
+    /// or, under a chooser, a plain request), so at quiescence this is the
+    /// share of `dispatched` spent re-polling.
+    pub mshr_polls: u64,
     /// Transition-count matrices and per-class latency histograms.
     pub protocol: ProtocolMetrics,
 }
@@ -331,6 +337,15 @@ pub(crate) struct LlcBank {
 pub(crate) enum Event {
     /// A core request arrives at its L1.
     CoreReq { core: usize, req: PendingReq },
+    /// A poll group: requests that found their core's MSHRs full, retrying
+    /// together (see [`Hierarchy::l1_poll`]). `req`, of `core`, is the
+    /// first member; `group` is the slot in `Hierarchy::polls` holding the
+    /// rest with their cores.
+    MshrPoll {
+        core: usize,
+        req: PendingReq,
+        group: u32,
+    },
     /// A message arrives at the LLC.
     ToLlc(Msg),
     /// A message arrives at core `core`'s L1 from `src` (`None` = the LLC,
@@ -459,6 +474,7 @@ struct UndoFrame {
     recalls: u64,
     silent_upgrades: u64,
     dispatched: u64,
+    mshr_polls: u64,
     /// Event counts, transition counts, install counters and latency
     /// records updated during this step.
     journal: Vec<StatRecord>,
@@ -508,6 +524,7 @@ impl Default for UndoFrame {
             recalls: 0,
             silent_upgrades: 0,
             dispatched: 0,
+            mshr_polls: 0,
             journal: Vec::new(),
             side: FrameSide::None,
             l1_pending: MshrTable::new(0),
@@ -545,6 +562,19 @@ const INSTALL_RETRY_LIMIT: u32 = 3;
 
 /// Delay between L1 install retry attempts.
 const INSTALL_RETRY_DELAY: u64 = 8;
+
+/// Delay between a stalled core request's polls for a free MSHR.
+const MSHR_POLL_DELAY: u64 = 4;
+
+/// The poll group scheduled last, while stalled requests may still join
+/// it (see [`Hierarchy::l1_poll_later`]).
+#[derive(Debug, Clone, Copy)]
+struct PollTail {
+    /// The queue's schedule count right after the group was scheduled.
+    scheduled: u64,
+    at: Cycle,
+    group: u32,
+}
 
 /// The value a store writes into the modelled data image: unique per
 /// request and never the `0` that uninitialized memory reads as.
@@ -663,6 +693,15 @@ pub struct Hierarchy {
     undo: UndoLog,
     /// Scratch for [`state_digest_cached`](Self::state_digest_cached).
     digest: DigestScratch,
+    /// The members after the first of each pending poll group with their
+    /// cores, in retry order, one slot per group; `poll_free` lists the
+    /// idle slots.
+    polls: Vec<Vec<(usize, PendingReq)>>,
+    poll_free: Vec<u32>,
+    poll_tail: Option<PollTail>,
+    /// Set once [`try_step_choice`](Self::try_step_choice) has run: from
+    /// then on a stalled request retries as a plain `CoreReq`.
+    chooser: bool,
 }
 
 impl Hierarchy {
@@ -699,6 +738,10 @@ impl Hierarchy {
             jitter: None,
             undo: UndoLog::default(),
             digest: DigestScratch::default(),
+            polls: Vec::new(),
+            poll_free: Vec::new(),
+            poll_tail: None,
+            chooser: false,
             mesh: MeshTopology::new(cfg.cores, cfg.banks, cfg.mesh_hop_latency),
             cfg,
         }
@@ -863,9 +906,11 @@ impl Hierarchy {
         }
     }
 
-    /// Processes the single next event, if any; returns its timestamp.
-    /// This is the fuzzer's stepping primitive: invariants are checked
-    /// between every two events, not just at tick granularity.
+    /// Processes the single next queue event, if any; returns its
+    /// timestamp. This is the fuzzer's stepping primitive: invariants are
+    /// checked between every two queue events, not just at tick
+    /// granularity. A poll group is one queue event, so its members'
+    /// retries run back to back and are checked together.
     ///
     /// # Errors
     ///
@@ -893,6 +938,8 @@ impl Hierarchy {
     /// The first illegal protocol event, or a synthesized error when the
     /// hierarchy fails to quiesce within its fuel budget (livelock).
     pub fn run_until_idle(&mut self) -> Result<Vec<Completion>, Box<ProtocolError>> {
+        // Counts queue events: a poll group spends one unit however many
+        // stalled retries it carries.
         let mut fuel: u64 = 500_000_000;
         let mut batch = std::mem::take(&mut self.batch);
         let mut failure = None;
@@ -1062,6 +1109,10 @@ impl Hierarchy {
             // fork starts its own (callers re-arm with `enable_undo`).
             undo: UndoLog::default(),
             digest: DigestScratch::default(),
+            polls: self.polls.clone(),
+            poll_free: self.poll_free.clone(),
+            poll_tail: self.poll_tail,
+            chooser: self.chooser,
             mesh: self.mesh,
         }
     }
@@ -1073,7 +1124,7 @@ impl Hierarchy {
         let enc = |c: Option<usize>| c.map_or(u64::MAX, |c| c as u64);
         match ev {
             // Per-core program order into the L1.
-            Event::CoreReq { core, .. } => (0, *core as u64, 0),
+            Event::CoreReq { core, .. } | Event::MshrPoll { core, .. } => (0, *core as u64, 0),
             // Every L1→LLC message names its sending core; distinct
             // destination banks are distinct physical links (the third
             // component stays 0 on single-bank configurations).
@@ -1090,7 +1141,7 @@ impl Hierarchy {
 
     fn describe_choice(&self, seq: u64, at: Cycle, ev: &Event) -> Choice {
         let (block, core, kind, msg, touches_dram) = match ev {
-            Event::CoreReq { core, req } => {
+            Event::CoreReq { core, req } | Event::MshrPoll { core, req, .. } => {
                 (req.block, Some(*core), ChoiceKind::CoreReq, None, false)
             }
             Event::ToLlc(m) => (
@@ -1185,6 +1236,11 @@ impl Hierarchy {
     /// it. Returns its delivery timestamp, or `Ok(None)` if no pending
     /// event has that identity.
     ///
+    /// From the first call on, requests stalled on a full MSHR file retry
+    /// one by one instead of in poll groups, so each stays its own choice.
+    /// Starting to choose while FIFO stepping has left poll groups pending
+    /// is unsupported.
+    ///
     /// # Errors
     ///
     /// The [`ProtocolError`] if the event was illegal in the current state.
@@ -1193,6 +1249,12 @@ impl Hierarchy {
         // before `pop_seq`; it is free (three words), so an unmatched-seq
         // miss wastes nothing.
         let qmark = self.undo.enabled.then(|| self.queue.mark());
+        debug_assert!(
+            self.chooser || self.poll_free.len() == self.polls.len(),
+            "choosing with poll groups pending"
+        );
+        self.chooser = true;
+        self.poll_tail = None;
         match self.queue.pop_seq_traced(seq) {
             Some((now, origin, ev)) => {
                 if let Some(qmark) = qmark {
@@ -1318,6 +1380,7 @@ impl Hierarchy {
         f.recalls = self.stats.recalls;
         f.silent_upgrades = self.stats.silent_upgrades;
         f.dispatched = self.stats.dispatched;
+        f.mshr_polls = self.stats.mshr_polls;
         f.journal.clear();
         f.l1_marks.clear();
         for l1 in &self.l1s {
@@ -1326,6 +1389,7 @@ impl Hierarchy {
         let side_bytes;
         f.side = match ev {
             Event::CoreReq { core, .. }
+            | Event::MshrPoll { core, .. }
             | Event::ToL1 { core, .. }
             | Event::L1InsertRetry { core, .. } => {
                 let l1 = &self.l1s[*core];
@@ -1380,6 +1444,7 @@ impl Hierarchy {
         self.stats.recalls = f.recalls;
         self.stats.silent_upgrades = f.silent_upgrades;
         self.stats.dispatched = f.dispatched;
+        self.stats.mshr_polls = f.mshr_polls;
         let m = &mut self.stats.protocol;
         for r in f.journal.drain(..).rev() {
             match r {
@@ -1481,7 +1546,7 @@ impl Hierarchy {
         self.queue.for_each_pending(|p| {
             let key = self.link_key(p.event);
             s.items
-                .push((rel(p.at), key, p.seq, Self::event_digest(p.event, now)));
+                .push((rel(p.at), key, p.seq, self.event_digest(p.event, now)));
         });
         s.items.sort_unstable_by_key(|&(_, key, seq, _)| (key, seq));
         for link in s.items.chunk_by_mut(|a, b| a.1 == b.1) {
@@ -1554,15 +1619,23 @@ impl Hierarchy {
         h.finish()
     }
 
-    /// Hash of one pending event's payload, times relative to `now`.
-    fn event_digest(ev: &Event, now: Cycle) -> u64 {
+    /// Hash of one pending event's payload, times relative to `now`. A
+    /// poll group hashes as the request it retries, then the rest of its
+    /// members.
+    fn event_digest(&self, ev: &Event, now: Cycle) -> u64 {
         use std::hash::{Hash, Hasher};
         let rel = |t: Cycle| t.get().wrapping_sub(now.get());
         let mut h = sim_engine::FxHasher::default();
         match ev {
-            Event::CoreReq { core, req } => {
+            Event::CoreReq { core, req } | Event::MshrPoll { core, req, .. } => {
                 (0u8, *core, req.id, req.block.0).hash(&mut h);
                 (req.kind, req.wp, rel(req.issued_at), req.l1_before).hash(&mut h);
+                if let Event::MshrPoll { group, .. } = ev {
+                    for (c, r) in &self.polls[*group as usize] {
+                        (*c, r.id, r.block.0, r.kind, r.wp).hash(&mut h);
+                        (rel(r.issued_at), r.l1_before).hash(&mut h);
+                    }
+                }
             }
             Event::ToLlc(msg) => (1u8, msg).hash(&mut h),
             Event::ToL1 { core, src, msg } => (2u8, *core, *src, msg).hash(&mut h),
@@ -1827,6 +1900,7 @@ impl Hierarchy {
         self.stats.dispatched += 1;
         match ev {
             Event::CoreReq { core, req } => self.l1_access(now, core, req),
+            Event::MshrPoll { core, req, group } => self.l1_poll(now, core, req, group),
             Event::ToLlc(msg) => {
                 self.tracer.emit(|| TraceEvent {
                     at: now,
@@ -1968,9 +2042,64 @@ impl Hierarchy {
             req: Some(req.id),
             kind: TraceKind::MshrStall,
         });
-        self.queue
-            .schedule(now + Cycle(4), Event::CoreReq { core, req });
+        self.stats.mshr_polls += 1;
+        self.l1_poll_later(now, core, req);
         true
+    }
+
+    /// Schedules a stalled request's retry. Outside a chooser it joins the
+    /// poll group scheduled last if nothing has been scheduled since and
+    /// that group is for the same retry cycle, whichever cores its members
+    /// are on: the request's own retry would have taken the next sequence
+    /// number, so no event could deliver between the two. Otherwise it
+    /// starts a new group. Under a chooser it retries as a plain
+    /// `CoreReq`, so every stalled request stays its own frontier choice.
+    fn l1_poll_later(&mut self, now: Cycle, core: usize, req: PendingReq) {
+        let at = now + Cycle(MSHR_POLL_DELAY);
+        if self.chooser {
+            self.queue.schedule(at, Event::CoreReq { core, req });
+            return;
+        }
+        let tail = self
+            .poll_tail
+            .filter(|t| t.scheduled == self.queue.scheduled_count() && t.at == at);
+        if let Some(t) = tail {
+            self.polls[t.group as usize].push((core, req));
+            return;
+        }
+        let group = self.poll_free.pop().unwrap_or_else(|| {
+            self.polls.push(Vec::new());
+            (self.polls.len() - 1) as u32
+        });
+        self.queue
+            .schedule(at, Event::MshrPoll { core, req, group });
+        self.poll_tail = Some(PollTail {
+            scheduled: self.queue.scheduled_count(),
+            at,
+            group,
+        });
+    }
+
+    /// Delivers a poll group: its members run [`l1_access`](Self::l1_access)
+    /// in retry order, each counting as one dispatched event, and those
+    /// that stall again regroup (see [`l1_poll_later`](Self::l1_poll_later)).
+    /// The group's slot stays taken until the members have run, so they
+    /// never rejoin it; its `poll_tail` is stale by then, since a retry
+    /// scheduled now is for a later cycle.
+    fn l1_poll(&mut self, now: Cycle, core: usize, req: PendingReq, group: u32) -> PResult {
+        let mut rest = std::mem::take(&mut self.polls[group as usize]);
+        let mut result = self.l1_access(now, core, req);
+        for &(c, m) in &rest {
+            if result.is_err() {
+                break;
+            }
+            self.stats.dispatched += 1;
+            result = self.l1_access(now, c, m);
+        }
+        rest.clear();
+        self.polls[group as usize] = rest;
+        self.poll_free.push(group);
+        result
     }
 
     fn l1_access(&mut self, now: Cycle, core: usize, mut req: PendingReq) -> PResult {

@@ -27,12 +27,15 @@ use swiftdir_mmu::PhysAddr;
 
 use crate::stream::{issue_stream, AccessOp, StreamFile};
 
-/// Events without a single completion before the watchdog declares the
-/// protocol deadlocked. The worst honest case (a recall chain across
-/// every block) resolves in a few hundred events.
+/// Steps (queue events) without a single completion before the watchdog
+/// declares the protocol deadlocked. The worst honest case (a recall
+/// chain across every block) resolves in a few hundred events. A poll
+/// group of stalled retries is one step, so a polling livelock runs up to
+/// its group size times more retries before it is flagged.
 const WATCHDOG_EVENTS: u64 = 200_000;
 
-/// Absolute event budget per run, against runaway livelock.
+/// Absolute step budget per run, against runaway livelock (steps count
+/// as for [`WATCHDOG_EVENTS`]).
 const MAX_EVENTS: u64 = 5_000_000;
 
 /// Phase names a fuzz campaign's telemetry attributes wall time to:
@@ -146,7 +149,9 @@ impl FuzzConfig {
 ///
 /// After `after_completions` requests have completed, the target core's
 /// L1 line for `addr` is forced to Modified with `value` — a rogue
-/// write the protocol never sanctioned.
+/// write the protocol never sanctioned. The count is read between steps,
+/// so a poll group whose members complete several requests can carry it
+/// past `after_completions` before the fault lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlantedFault {
     /// Completions to wait for before corrupting.
@@ -206,7 +211,9 @@ pub struct FuzzReport {
     pub config: FuzzConfig,
     /// Completions observed (equals `config.ops` on a clean run).
     pub completions: usize,
-    /// Simulator events processed.
+    /// Steps taken: queue events delivered, each followed by a
+    /// [`Checker`] pass. A poll group of stalled requests is one step, so
+    /// this is at most `stats.dispatched`.
     pub events: u64,
     /// FNV-1a digest over the completion stream; bit-identical across
     /// repeated runs of the same config.

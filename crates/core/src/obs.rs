@@ -461,6 +461,7 @@ impl RunStats {
                 Json::Uint(self.hierarchy.silent_upgrades),
             ),
             ("dispatched", Json::Uint(self.hierarchy.dispatched)),
+            ("mshr_polls", Json::Uint(self.hierarchy.mshr_polls)),
         ]);
 
         let memory = Json::object([

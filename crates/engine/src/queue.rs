@@ -582,6 +582,9 @@ impl<E> EventQueue<E> {
     }
 
     /// Total number of events ever scheduled (for stats / fuel limits).
+    /// Unchanged between two calls exactly when nothing was scheduled in
+    /// between, so an event scheduled now for the same time as the last
+    /// one would deliver directly after it.
     pub fn scheduled_count(&self) -> u64 {
         self.next_seq
     }

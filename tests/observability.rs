@@ -146,6 +146,13 @@ fn snapshot_round_trips_and_reconciles_with_typed_stats() {
             .and_then(Json::as_u64),
         Some(stats.hierarchy.dispatched)
     );
+    assert_eq!(
+        snap.get("hierarchy")
+            .and_then(|h| h.get("mshr_polls"))
+            .and_then(Json::as_u64),
+        Some(stats.hierarchy.mshr_polls)
+    );
+    assert!(stats.hierarchy.mshr_polls <= stats.hierarchy.dispatched);
 
     // The registry section carries one latency histogram per request
     // class, and their counts sum to the number of completions.

@@ -22,11 +22,14 @@
 use sim_engine::Cycle;
 use swiftdir::cache::CacheGeometry;
 use swiftdir::coherence::{
-    Checker, CoreRequest, Hierarchy, HierarchyConfig, L1State, ProtocolKind,
+    AccessKind, Checker, Completion, CoreRequest, Hierarchy, HierarchyConfig, L1State, ProtocolKind,
 };
+use swiftdir::core::diff::tiny_config;
+use swiftdir::core::explore::{explore, ExploreConfig, ExploreMode};
 use swiftdir::core::fuzz::{
     minimize_outcome, run_fuzz, FuzzConfig, FuzzFailureKind, MinimizeOutcome,
 };
+use swiftdir::core::AccessOp;
 use swiftdir::mmu::PhysAddr;
 
 // ---------------------------------------------------------------------------
@@ -312,4 +315,319 @@ fn minimize_without_expectation_reports_clean() {
     // And the panic-prone accessor path stays total: `config()` is
     // defined for every outcome.
     assert_eq!(minimize_outcome(&cfg, None).config(), cfg);
+}
+
+// ---------------------------------------------------------------------------
+// MSHR saturation: retry timing pinned to values recorded when every
+// retry was its own queue event
+// ---------------------------------------------------------------------------
+
+/// What an MSHR-saturated run produced: the completion stream's digest
+/// and every `HierarchyStats` scalar.
+#[derive(Debug, PartialEq, Eq)]
+struct SaturationPin {
+    digest: u64,
+    l1_hits: u64,
+    l1_misses: u64,
+    mshr_merges: u64,
+    recalls: u64,
+    silent_upgrades: u64,
+    dispatched: u64,
+}
+
+/// FNV-1a over the completion stream in serialization order.
+fn completion_digest(done: &[Completion]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for c in done {
+        mix(c.req);
+        mix(c.core as u64);
+        mix(c.block.0);
+        mix(c.issued_at.get());
+        mix(c.done_at.get());
+        mix(c.class.l1_before as u64);
+        mix(c.class.llc_before.map_or(u64::MAX, |s| s as u64));
+        mix(c.served_from as u64);
+        mix(c.value);
+    }
+    hash
+}
+
+/// Two cores with two MSHRs each and a two-set, two-way L1.
+fn saturated(protocol: ProtocolKind) -> Hierarchy {
+    let mut cfg = HierarchyConfig::table_v(2, protocol);
+    cfg.l1_geometry = CacheGeometry::new(256, 2, 64);
+    cfg.l1_mshrs = 2;
+    Hierarchy::new(cfg)
+}
+
+/// Set 0 of core 0's L1: blocks A and B, shared with core 1, and C.
+const A: PhysAddr = PhysAddr(0);
+const B: PhysAddr = PhysAddr(128);
+const C: PhysAddr = PhysAddr(256);
+
+fn warm(h: &mut Hierarchy) {
+    h.issue(Cycle(0), 1, CoreRequest::load(A));
+    h.issue(Cycle(0), 1, CoreRequest::load(B));
+    h.issue(Cycle(400), 0, CoreRequest::load(A));
+    h.issue(Cycle(400), 0, CoreRequest::load(B));
+    h.run_until_idle().expect("protocol error");
+}
+
+/// Core 0's misses to C and D fill its MSHRs, so its store to A (an
+/// upgrade) and the misses behind it poll as one group. B is touched
+/// after A first stalls; C's install must then evict B, not A, because
+/// A's polls keep refreshing its recency. Core 1 saturates in the same
+/// cycles, and D's completion frees an entry between polls.
+fn saturation_scenario(h: &mut Hierarchy, t: u64) {
+    // Set 1 misses (D, E, F, G) go to DRAM.
+    let (d, e, f, g) = (PhysAddr(64), PhysAddr(192), PhysAddr(320), PhysAddr(448));
+    let x = |i: u64| PhysAddr(0x1000 + 64 * i);
+    h.issue(Cycle(t), 0, CoreRequest::load(C));
+    h.issue(Cycle(t), 0, CoreRequest::load(d));
+    h.issue(Cycle(t), 1, CoreRequest::load(x(0)));
+    h.issue(Cycle(t), 1, CoreRequest::load(x(1)));
+    h.issue(Cycle(t + 1), 0, CoreRequest::store(A));
+    h.issue(Cycle(t + 1), 1, CoreRequest::store(x(2)));
+    h.issue(Cycle(t + 1), 0, CoreRequest::load(e));
+    h.issue(Cycle(t + 1), 0, CoreRequest::load(f));
+    h.issue(Cycle(t + 1), 1, CoreRequest::load(x(3)));
+    h.issue(Cycle(t + 1), 1, CoreRequest::load(x(4)));
+    h.issue(Cycle(t + 2), 0, CoreRequest::store(g));
+    // A merge into D's open transaction, a hit on B after A first
+    // stalled, and a store to C once its grant has landed.
+    h.issue(Cycle(t + 3), 0, CoreRequest::load(d));
+    h.issue(Cycle(t + 30), 0, CoreRequest::load(B));
+    h.issue(Cycle(t + 100), 0, CoreRequest::store(C));
+}
+
+/// Runs the saturation scenario under `protocol`, stepping event by
+/// event (`stepped`, as the fuzzer does) or in timestamp batches.
+fn saturation_pin(protocol: ProtocolKind, stepped: bool) -> (SaturationPin, Vec<Completion>) {
+    let mut h = saturated(protocol);
+    warm(&mut h);
+    saturation_scenario(&mut h, 2000);
+    let done = if stepped {
+        while h.try_step().expect("protocol error").is_some() {}
+        h.drain_completions()
+    } else {
+        h.run_until_idle().expect("protocol error")
+    };
+    Checker::new().check_quiescent(&h).expect("quiescent audit");
+    let s = h.stats();
+    assert!(
+        s.mshr_polls > 0 && s.mshr_polls < s.dispatched,
+        "{} polls of {} dispatched",
+        s.mshr_polls,
+        s.dispatched
+    );
+    let pin = SaturationPin {
+        digest: completion_digest(&done),
+        l1_hits: s.l1_hits,
+        l1_misses: s.l1_misses,
+        mshr_merges: s.mshr_merges,
+        recalls: s.recalls,
+        silent_upgrades: s.silent_upgrades,
+        dispatched: s.dispatched,
+    };
+    (pin, done)
+}
+
+/// Both cores run out of MSHRs and retry every four cycles: a group of
+/// stalled misses, a store to an S line whose upgrade waits while its
+/// set picks a victim for C, frees landing between retries, cross-core
+/// retries in the same cycles, a merge and a silent upgrade. The
+/// completion stream and every stats scalar are pinned per protocol,
+/// in batch and in single-step mode.
+#[test]
+fn mshr_saturation_timing_is_pinned() {
+    let pin = |digest, l1_hits, silent_upgrades, dispatched| SaturationPin {
+        digest,
+        l1_hits,
+        l1_misses: 14,
+        mshr_merges: 1,
+        recalls: 0,
+        silent_upgrades,
+        dispatched,
+    };
+    let expected = [
+        (ProtocolKind::Msi, pin(0x1bf3_499f_76ff_7295, 2, 0, 372)),
+        (ProtocolKind::Mesi, pin(0xff09_514f_7701_94bd, 3, 1, 342)),
+        (ProtocolKind::SMesi, pin(0x960d_0a7f_52e9_1fa2, 2, 0, 375)),
+        (
+            ProtocolKind::SwiftDir,
+            pin(0xff09_514f_7701_94bd, 3, 1, 342),
+        ),
+    ];
+    for (protocol, want) in expected {
+        for stepped in [false, true] {
+            let (got, done) = saturation_pin(protocol, stepped);
+            assert_eq!(got, want, "{protocol:?} (stepped: {stepped})");
+            // The store to A kept polling as an upgrade, so A stayed the
+            // more recently used way and C's install evicted B, not A.
+            let store_a = done
+                .iter()
+                .find(|c| c.block == A && c.class.kind == AccessKind::Store)
+                .expect("store to A completes");
+            assert_eq!(store_a.class.l1_before, L1State::S, "{protocol:?}");
+        }
+    }
+}
+
+/// FNV-1a over a sorted outcome or timing set.
+fn set_digest(set: &[u64]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for v in set {
+        for b in v.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+/// With one MSHR per core, core 0's second load polls every four
+/// cycles; each poll stays one frontier choice, so the explored tree
+/// (schedules, steps, outcome and timing sets, the whole report) is
+/// pinned, and the undo and fork walkers agree on it. The window stays
+/// below the poll period: from 4 cycles up the walker may pick the
+/// next poll forever.
+#[test]
+fn explored_mshr_polls_are_pinned() {
+    let stream = [
+        AccessOp::load(0, 0, 0),
+        AccessOp::load(0, 0, 64),
+        AccessOp::store(2, 1, 0),
+    ];
+    const OUTCOMES: u64 = 0xec2b_d65b_c56f_9367;
+    let expected = [
+        (
+            ProtocolKind::Msi,
+            0x29ca_b3a2_00b5_a68c,
+            0x1491_408c_1611_9a8c,
+        ),
+        (
+            ProtocolKind::Mesi,
+            0x1c6d_6fe3_de7d_3729,
+            0x6940_14f5_08ef_891d,
+        ),
+        (
+            ProtocolKind::SMesi,
+            0x1c6d_6fe3_de7d_3729,
+            0x6940_14f5_08ef_891d,
+        ),
+        (
+            ProtocolKind::SwiftDir,
+            0x1c6d_6fe3_de7d_3729,
+            0x6940_14f5_08ef_891d,
+        ),
+    ];
+    for (protocol, report, timings) in expected {
+        let mut cfg = tiny_config(2, protocol);
+        cfg.l1_mshrs = 1;
+        let walk = |mode| {
+            let ecfg = ExploreConfig {
+                mode,
+                window: 3,
+                ..ExploreConfig::default()
+            };
+            explore(&cfg, &stream, &ecfg)
+        };
+        let undo = walk(ExploreMode::Undo);
+        assert!(
+            undo.exhaustive_and_clean(),
+            "{protocol:?}: {:?}",
+            undo.error
+        );
+        assert_eq!(
+            (
+                undo.schedules,
+                undo.steps,
+                undo.outcomes.len(),
+                undo.timings.len()
+            ),
+            (8, 3397, 2, 5),
+            "{protocol:?}"
+        );
+        assert_eq!(set_digest(&undo.outcomes), OUTCOMES, "{protocol:?}");
+        assert_eq!(set_digest(&undo.timings), timings, "{protocol:?}");
+        assert_eq!(undo.digest(), report, "{protocol:?}");
+        assert_eq!(
+            undo,
+            walk(ExploreMode::Fork),
+            "{protocol:?}: walkers diverged"
+        );
+    }
+}
+
+/// A rogue write lands, between two cycles, on a block whose store is
+/// still polling for an MSHR: core 0's upgrade of A. Its next poll must
+/// see the forced M line and hit, exactly as when every retry was its
+/// own queue event; the rest of the run (completions, stats, and the
+/// outcome the corrupted line leads to) is pinned per protocol.
+#[test]
+fn fault_on_a_polling_member_is_pinned() {
+    // (a protocol error, completion digest, completions, L1 hits and
+    // misses, dispatched)
+    let expected = [
+        (
+            ProtocolKind::Msi,
+            (false, 0xdbad_35e7_ea71_6106, 14, 3, 14, 346),
+        ),
+        (
+            ProtocolKind::Mesi,
+            (false, 0x5c0f_ab01_ac26_9662, 14, 4, 14, 317),
+        ),
+        (
+            ProtocolKind::SMesi,
+            (false, 0x53f8_1eee_69c9_72e9, 14, 3, 14, 351),
+        ),
+        (
+            ProtocolKind::SwiftDir,
+            (false, 0x5c0f_ab01_ac26_9662, 14, 4, 14, 317),
+        ),
+    ];
+    for (protocol, want) in expected {
+        let mut h = saturated(protocol);
+        warm(&mut h);
+        saturation_scenario(&mut h, 2000);
+        // The store to A first stalls at 2001 and polls at 2005 and 2009.
+        while h.next_event_time().is_some_and(|t| t < Cycle(2010)) {
+            h.try_step().expect("protocol error");
+        }
+        assert_eq!(h.l1_state(0, A), L1State::S, "{protocol:?}");
+        h.test_force_l1_state(0, A, L1State::M, 0xbad);
+        let failed = loop {
+            match h.try_step() {
+                Ok(Some(_)) => {}
+                Ok(None) => break false,
+                Err(_) => break true,
+            }
+        };
+        let done = h.drain_completions();
+        let store_a = done
+            .iter()
+            .find(|c| c.block == A && c.class.kind == AccessKind::Store)
+            .expect("store to A completes");
+        assert_eq!(
+            (store_a.class.l1_before, store_a.done_at),
+            (L1State::M, Cycle(2014)),
+            "{protocol:?}"
+        );
+        let s = h.stats();
+        let got = (
+            failed,
+            completion_digest(&done),
+            done.len(),
+            s.l1_hits,
+            s.l1_misses,
+            s.dispatched,
+        );
+        assert_eq!(got, want, "{protocol:?}");
+    }
 }
