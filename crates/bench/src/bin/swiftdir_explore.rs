@@ -65,7 +65,8 @@ use swiftdir_core::diff::{
 };
 use swiftdir_core::driver;
 use swiftdir_core::explore::{
-    explore_parallel_profiled, DepthProfile, ExploreConfig, ExploreMode, EXPLORE_PHASES,
+    check_max_depth, explore_parallel_profiled, DepthProfile, ExploreConfig, ExploreMode,
+    EXPLORE_PHASES,
 };
 use swiftdir_core::fuzz::{run_fuzz, FuzzConfig};
 use swiftdir_core::{
@@ -156,7 +157,10 @@ fn parse_args() -> Result<Args, String> {
             "--streams" => {
                 args.streams = value("--streams")?.parse().map_err(|e| format!("{e}"))?
             }
-            "--depth" => args.depth = value("--depth")?.parse().map_err(|e| format!("{e}"))?,
+            "--depth" => {
+                args.depth =
+                    check_max_depth(value("--depth")?.parse().map_err(|e| format!("{e}"))?)?
+            }
             "--window" => args.window = value("--window")?.parse().map_err(|e| format!("{e}"))?,
             "--seeds" => args.seeds = value("--seeds")?.parse().map_err(|e| format!("{e}"))?,
             "--progress" => args.progress = Some(value("--progress")?),

@@ -211,8 +211,10 @@ fn dispatch(out: &mut String, snap: &Json) {
     let (dispatched, polls) = (get_u64(h, "dispatched"), get_u64(h, "mshr_polls"));
     let _ = writeln!(
         out,
-        "\nSimulated events: {dispatched} dispatched, {polls} of them MSHR-full re-polls ({:.1}%)",
+        "\nSimulated events: {dispatched} dispatched, {polls} of them MSHR-full re-polls ({:.1}%), \
+         delivered in {} poll groups",
         100.0 * polls as f64 / dispatched.max(1) as f64,
+        get_u64(h, "poll_events"),
     );
 }
 
@@ -250,6 +252,7 @@ mod tests {
                 Json::object([
                     ("dispatched", Json::Uint(40)),
                     ("mshr_polls", Json::Uint(10)),
+                    ("poll_events", Json::Uint(4)),
                 ]),
             ),
             (
@@ -291,7 +294,9 @@ mod tests {
         assert!(!text.contains("GETX=0"), "zero counts are elided: {text}");
         assert!(text.contains("row-hit rate 0.50"), "{text}");
         assert!(
-            text.contains("40 dispatched, 10 of them MSHR-full re-polls (25.0%)"),
+            text.contains(
+                "40 dispatched, 10 of them MSHR-full re-polls (25.0%), delivered in 4 poll groups"
+            ),
             "{text}"
         );
         assert!(text.contains("Hit"), "{text}");

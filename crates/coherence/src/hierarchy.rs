@@ -175,6 +175,10 @@ pub struct HierarchyStats {
     /// or, under a chooser, a plain request), so at quiescence this is the
     /// share of `dispatched` spent re-polling.
     pub mshr_polls: u64,
+    /// Poll groups delivered from the event queue, each carrying one or
+    /// more of the `mshr_polls` retries (see [`Hierarchy::l1_poll`]): the
+    /// queue operations the retries cost.
+    pub poll_events: u64,
     /// Transition-count matrices and per-class latency histograms.
     pub protocol: ProtocolMetrics,
 }
@@ -475,6 +479,7 @@ struct UndoFrame {
     silent_upgrades: u64,
     dispatched: u64,
     mshr_polls: u64,
+    poll_events: u64,
     /// Event counts, transition counts, install counters and latency
     /// records updated during this step.
     journal: Vec<StatRecord>,
@@ -525,6 +530,7 @@ impl Default for UndoFrame {
             silent_upgrades: 0,
             dispatched: 0,
             mshr_polls: 0,
+            poll_events: 0,
             journal: Vec::new(),
             side: FrameSide::None,
             l1_pending: MshrTable::new(0),
@@ -574,6 +580,100 @@ struct PollTail {
     scheduled: u64,
     at: Cycle,
     group: u32,
+}
+
+/// One pending poll group's slot: the members after the first (which
+/// rides in the event) and what [`Hierarchy::poll_dormant`] needs to
+/// prove that every member would stall again.
+#[derive(Debug, Clone, Default)]
+struct PollGroup {
+    /// The members after the first, with their cores, in retry order.
+    rest: Vec<(usize, PendingReq)>,
+    /// The change log's epoch when the group was armed: every member
+    /// stalled at or after it.
+    stamp: u64,
+    /// One bit per member core.
+    cores: u64,
+    /// A one-word Bloom filter of the members' blocks.
+    blocks: u64,
+    /// Some member's block is in its L1 array, so its retry refreshes
+    /// the line's recency (which decides later victims): the group
+    /// retries in full.
+    touches_lru: bool,
+}
+
+impl PollGroup {
+    fn arm(&mut self, stamp: u64, core: usize, block: u64, present: bool) {
+        self.stamp = stamp;
+        self.cores = 1 << core;
+        self.blocks = block_bit(block);
+        self.touches_lru = present;
+    }
+
+    fn add(&mut self, core: usize, block: u64, present: bool) {
+        self.cores |= 1 << core;
+        self.blocks |= block_bit(block);
+        self.touches_lru |= present;
+    }
+}
+
+/// `block`'s bit in a [`PollGroup`]'s block filter.
+fn block_bit(block: u64) -> u64 {
+    1 << (block.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 58)
+}
+
+/// Entries kept by [`ChangeLog`]. A poll group armed more changes ago
+/// than this retries in full.
+const CHANGE_LOG_LEN: usize = 64;
+
+/// The most recent L1 changes that can decide whether a stalled request
+/// stalls again: MSHR inserts and frees, installing-buffer and array
+/// state changes, installs, and forced states. Fixed-size; see
+/// [`Hierarchy::poll_dormant`].
+#[derive(Debug, Clone)]
+struct ChangeLog {
+    /// `(core, block)` of change `e` at slot `e % CHANGE_LOG_LEN`.
+    ring: Box<[(usize, u64); CHANGE_LOG_LEN]>,
+    /// Changes recorded so far: the epoch of the next one.
+    epoch: u64,
+}
+
+impl ChangeLog {
+    fn new() -> Self {
+        ChangeLog {
+            ring: Box::new([(0, 0); CHANGE_LOG_LEN]),
+            epoch: 0,
+        }
+    }
+
+    #[inline]
+    fn record(&mut self, core: usize, block: u64) {
+        self.ring[self.epoch as usize % CHANGE_LOG_LEN] = (core, block);
+        self.epoch += 1;
+    }
+
+    /// Whether no change since epoch `stamp` may concern one of
+    /// `group`'s members; false once the log has wrapped past `stamp`.
+    fn untouched(&self, group: &PollGroup) -> bool {
+        if self.epoch - group.stamp > CHANGE_LOG_LEN as u64 {
+            return false;
+        }
+        (group.stamp..self.epoch).all(|e| {
+            let (core, block) = self.ring[e as usize % CHANGE_LOG_LEN];
+            group.cores & (1 << core) == 0 || group.blocks & block_bit(block) == 0
+        })
+    }
+}
+
+/// The trace record of `req`, on `core`, stalling on a full MSHR file.
+fn mshr_stall(at: Cycle, core: usize, req: &PendingReq) -> TraceEvent {
+    TraceEvent {
+        at,
+        core: Some(core),
+        addr: req.block.0,
+        req: Some(req.id),
+        kind: TraceKind::MshrStall,
+    }
 }
 
 /// The value a store writes into the modelled data image: unique per
@@ -693,12 +793,12 @@ pub struct Hierarchy {
     undo: UndoLog,
     /// Scratch for [`state_digest_cached`](Self::state_digest_cached).
     digest: DigestScratch,
-    /// The members after the first of each pending poll group with their
-    /// cores, in retry order, one slot per group; `poll_free` lists the
-    /// idle slots.
-    polls: Vec<Vec<(usize, PendingReq)>>,
+    /// One slot per pending poll group; `poll_free` lists the idle slots.
+    polls: Vec<PollGroup>,
     poll_free: Vec<u32>,
     poll_tail: Option<PollTail>,
+    /// Recent L1 changes, read when a poll group is delivered.
+    changes: ChangeLog,
     /// Set once [`try_step_choice`](Self::try_step_choice) has run: from
     /// then on a stalled request retries as a plain `CoreReq`.
     chooser: bool,
@@ -741,6 +841,7 @@ impl Hierarchy {
             polls: Vec::new(),
             poll_free: Vec::new(),
             poll_tail: None,
+            changes: ChangeLog::new(),
             chooser: false,
             mesh: MeshTopology::new(cfg.cores, cfg.banks, cfg.mesh_hop_latency),
             cfg,
@@ -1080,6 +1181,7 @@ impl Hierarchy {
     pub fn test_force_l1_state(&mut self, core: usize, addr: PhysAddr, state: L1State, data: u64) {
         let block = self.cfg.l1_geometry.block_base(addr.0);
         self.l1s[core].array.insert(block, L1Line { state, data });
+        self.changes.record(core, block);
     }
 
     // -- schedule exploration ----------------------------------------------
@@ -1112,6 +1214,7 @@ impl Hierarchy {
             polls: self.polls.clone(),
             poll_free: self.poll_free.clone(),
             poll_tail: self.poll_tail,
+            changes: self.changes.clone(),
             chooser: self.chooser,
             mesh: self.mesh,
         }
@@ -1381,6 +1484,7 @@ impl Hierarchy {
         f.silent_upgrades = self.stats.silent_upgrades;
         f.dispatched = self.stats.dispatched;
         f.mshr_polls = self.stats.mshr_polls;
+        f.poll_events = self.stats.poll_events;
         f.journal.clear();
         f.l1_marks.clear();
         for l1 in &self.l1s {
@@ -1445,6 +1549,7 @@ impl Hierarchy {
         self.stats.silent_upgrades = f.silent_upgrades;
         self.stats.dispatched = f.dispatched;
         self.stats.mshr_polls = f.mshr_polls;
+        self.stats.poll_events = f.poll_events;
         let m = &mut self.stats.protocol;
         for r in f.journal.drain(..).rev() {
             match r {
@@ -1631,7 +1736,7 @@ impl Hierarchy {
                 (0u8, *core, req.id, req.block.0).hash(&mut h);
                 (req.kind, req.wp, rel(req.issued_at), req.l1_before).hash(&mut h);
                 if let Event::MshrPoll { group, .. } = ev {
-                    for (c, r) in &self.polls[*group as usize] {
+                    for (c, r) in &self.polls[*group as usize].rest {
                         (*c, r.id, r.block.0, r.kind, r.wp).hash(&mut h);
                         (rel(r.issued_at), r.l1_before).hash(&mut h);
                     }
@@ -1790,6 +1895,7 @@ impl Hierarchy {
         if from != to {
             self.journal(StatRecord::L1(from, to));
         }
+        self.changes.record(core, addr.0);
         self.stats.protocol.record_l1(from, to);
         self.tracer.emit(|| TraceEvent {
             at: now,
@@ -2031,19 +2137,14 @@ impl Hierarchy {
     /// True (and the request rescheduled) when `core` has no free MSHR
     /// for a new transaction. Both misses and S/E→M upgrades occupy an
     /// MSHR entry; requests merging into an existing entry never stall.
-    fn l1_mshr_full(&mut self, now: Cycle, core: usize, block: u64, req: PendingReq) -> bool {
+    /// `present` says whether the request's block is in the L1 array.
+    fn l1_mshr_full(&mut self, now: Cycle, core: usize, req: PendingReq, present: bool) -> bool {
         if !self.l1s[core].pending.is_full() {
             return false;
         }
-        self.tracer.emit(|| TraceEvent {
-            at: now,
-            core: Some(core),
-            addr: block,
-            req: Some(req.id),
-            kind: TraceKind::MshrStall,
-        });
+        self.tracer.emit(|| mshr_stall(now, core, &req));
         self.stats.mshr_polls += 1;
-        self.l1_poll_later(now, core, req);
+        self.l1_poll_later(now, core, req, present);
         true
     }
 
@@ -2052,25 +2153,38 @@ impl Hierarchy {
     /// that group is for the same retry cycle, whichever cores its members
     /// are on: the request's own retry would have taken the next sequence
     /// number, so no event could deliver between the two. Otherwise it
-    /// starts a new group. Under a chooser it retries as a plain
-    /// `CoreReq`, so every stalled request stays its own frontier choice.
-    fn l1_poll_later(&mut self, now: Cycle, core: usize, req: PendingReq) {
+    /// starts a new group, stamped with the change log's epoch. Under a
+    /// chooser it retries as a plain `CoreReq`, so every stalled request
+    /// stays its own frontier choice.
+    fn l1_poll_later(&mut self, now: Cycle, core: usize, req: PendingReq, present: bool) {
         let at = now + Cycle(MSHR_POLL_DELAY);
         if self.chooser {
             self.queue.schedule(at, Event::CoreReq { core, req });
             return;
         }
-        let tail = self
-            .poll_tail
-            .filter(|t| t.scheduled == self.queue.scheduled_count() && t.at == at);
-        if let Some(t) = tail {
-            self.polls[t.group as usize].push((core, req));
+        if let Some(t) = self.joinable_tail(at) {
+            let g = &mut self.polls[t.group as usize];
+            g.rest.push((core, req));
+            g.add(core, req.block.0, present);
             return;
         }
         let group = self.poll_free.pop().unwrap_or_else(|| {
-            self.polls.push(Vec::new());
+            self.polls.push(PollGroup::default());
             (self.polls.len() - 1) as u32
         });
+        self.polls[group as usize].arm(self.changes.epoch, core, req.block.0, present);
+        self.arm_poll(at, core, req, group);
+    }
+
+    /// The poll group scheduled last, if a retry due `at` may join it.
+    fn joinable_tail(&self, at: Cycle) -> Option<PollTail> {
+        self.poll_tail
+            .filter(|t| t.scheduled == self.queue.scheduled_count() && t.at == at)
+    }
+
+    /// Schedules poll group `group`, first member `req` of `core`, for
+    /// `at`, as the group later stalls may join.
+    fn arm_poll(&mut self, at: Cycle, core: usize, req: PendingReq, group: u32) {
         self.queue
             .schedule(at, Event::MshrPoll { core, req, group });
         self.poll_tail = Some(PollTail {
@@ -2080,14 +2194,22 @@ impl Hierarchy {
         });
     }
 
-    /// Delivers a poll group: its members run [`l1_access`](Self::l1_access)
-    /// in retry order, each counting as one dispatched event, and those
-    /// that stall again regroup (see [`l1_poll_later`](Self::l1_poll_later)).
-    /// The group's slot stays taken until the members have run, so they
-    /// never rejoin it; its `poll_tail` is stale by then, since a retry
-    /// scheduled now is for a later cycle.
+    /// Delivers a poll group. A dormant group (see
+    /// [`poll_dormant`](Self::poll_dormant)) re-arms whole through
+    /// [`l1_repoll`](Self::l1_repoll). Otherwise the members run
+    /// [`l1_access`](Self::l1_access) in retry order, each counting as one
+    /// dispatched event, and those that stall again regroup (see
+    /// [`l1_poll_later`](Self::l1_poll_later)). The group's slot stays
+    /// taken until the members have run, so they never rejoin it; its
+    /// `poll_tail` is stale by then, since a retry scheduled now is for a
+    /// later cycle.
     fn l1_poll(&mut self, now: Cycle, core: usize, req: PendingReq, group: u32) -> PResult {
-        let mut rest = std::mem::take(&mut self.polls[group as usize]);
+        self.stats.poll_events += 1;
+        if self.poll_dormant(group) {
+            self.l1_repoll(now, core, req, group);
+            return Ok(());
+        }
+        let mut rest = std::mem::take(&mut self.polls[group as usize].rest);
         let mut result = self.l1_access(now, core, req);
         for &(c, m) in &rest {
             if result.is_err() {
@@ -2097,9 +2219,70 @@ impl Hierarchy {
             result = self.l1_access(now, c, m);
         }
         rest.clear();
-        self.polls[group as usize] = rest;
+        self.polls[group as usize].rest = rest;
         self.poll_free.push(group);
         result
+    }
+
+    /// Whether every member of `group` would stall again, with no effect
+    /// beyond the stall's own. A member stalled in
+    /// [`l1_access`](Self::l1_access) because its block had no MSHR entry,
+    /// no installing entry that serves it and no array line that serves
+    /// it, and its core's MSHR file was full. Every change to the first
+    /// three is recorded in the change log, so if none since the group's
+    /// stamp can concern a member and every member core's file is still
+    /// full, each member meets the same state and stalls again. A
+    /// stalling member changes nothing a later member reads but the
+    /// recency of an array-resident line, so a group holding one is never
+    /// dormant.
+    fn poll_dormant(&self, group: u32) -> bool {
+        let g = &self.polls[group as usize];
+        if g.touches_lru {
+            return false;
+        }
+        let mut cores = g.cores;
+        while cores != 0 {
+            if !self.l1s[cores.trailing_zeros() as usize].pending.is_full() {
+                return false;
+            }
+            cores &= cores - 1;
+        }
+        self.changes.untouched(g)
+    }
+
+    /// Re-arms a dormant poll group with exactly the effects of its
+    /// members stalling again in order: each counts one dispatched event
+    /// and one poll and traces one `MshrStall`, and the retries join the
+    /// tail group or start a new one under
+    /// [`l1_poll_later`](Self::l1_poll_later)'s rule. The first member's
+    /// stall decides where all go: once it joins or starts a group,
+    /// nothing is scheduled before the others join it. Re-arming in
+    /// place keeps the slot and refreshes its stamp.
+    fn l1_repoll(&mut self, now: Cycle, core: usize, req: PendingReq, group: u32) {
+        let n = self.polls[group as usize].rest.len();
+        self.stats.dispatched += n as u64;
+        self.stats.mshr_polls += n as u64 + 1;
+        if self.tracer.is_enabled() {
+            self.tracer.emit(|| mshr_stall(now, core, &req));
+            for i in 0..n {
+                let (c, r) = self.polls[group as usize].rest[i];
+                self.tracer.emit(|| mshr_stall(now, c, &r));
+            }
+        }
+        let at = now + Cycle(MSHR_POLL_DELAY);
+        if let Some(t) = self.joinable_tail(at) {
+            let mut g = std::mem::take(&mut self.polls[group as usize]);
+            let into = &mut self.polls[t.group as usize];
+            into.rest.push((core, req));
+            into.rest.append(&mut g.rest);
+            into.cores |= g.cores;
+            into.blocks |= g.blocks;
+            self.polls[group as usize].rest = g.rest;
+            self.poll_free.push(group);
+            return;
+        }
+        self.polls[group as usize].stamp = self.changes.epoch;
+        self.arm_poll(at, core, req, group);
     }
 
     fn l1_access(&mut self, now: Cycle, core: usize, mut req: PendingReq) -> PResult {
@@ -2150,10 +2333,8 @@ impl Hierarchy {
             // so it re-requests with data (GETX).
         }
 
-        let state = self.l1s[core]
-            .array
-            .get(block)
-            .map_or(L1State::I, |l| l.state);
+        let line = self.l1s[core].array.get(block).map(|l| l.state);
+        let state = line.unwrap_or(L1State::I);
         req.l1_before = if state.is_stable() { state } else { L1State::I };
 
         match (req.kind, state) {
@@ -2186,7 +2367,7 @@ impl Hierarchy {
                     // S-MESI: explicit Upgrade/ACK round trip (paper Fig. 2,
                     // Fig. 3b). The store waits in EM_A. Upgrades occupy an
                     // MSHR just like misses do.
-                    if self.l1_mshr_full(now, core, block, req) {
+                    if self.l1_mshr_full(now, core, req, true) {
                         return Ok(());
                     }
                     self.l1s[core]
@@ -2208,7 +2389,7 @@ impl Hierarchy {
                 }
             }
             (AccessKind::Store, L1State::S) => {
-                if self.l1_mshr_full(now, core, block, req) {
+                if self.l1_mshr_full(now, core, req, true) {
                     return Ok(());
                 }
                 self.l1s[core]
@@ -2230,7 +2411,7 @@ impl Hierarchy {
             }
             // ---- misses ----
             (_, L1State::I) => {
-                if self.l1_mshr_full(now, core, block, req) {
+                if self.l1_mshr_full(now, core, req, line.is_some()) {
                     return Ok(());
                 }
                 self.stats.l1_misses += 1;
@@ -2461,6 +2642,7 @@ impl Hierarchy {
         let mut waiters = std::mem::take(&mut self.finish_scratch);
         waiters.clear();
         if self.l1s[core].pending.take_into(block.0, &mut waiters) {
+            self.changes.record(core, block.0);
             if let Some((&primary, merged)) = waiters.split_first() {
                 self.complete(now, core, &primary, llc_before, served_from);
                 for &merged in merged {
@@ -2495,6 +2677,7 @@ impl Hierarchy {
                         data,
                     },
                 );
+                self.changes.record(core, addr.0);
                 self.l1_install_line(now, core, addr, 0)?;
                 self.send_to_l1_unblock(now, core, addr, false);
                 self.l1_finish_pending(now, core, addr, Some(llc_was), source);
@@ -2511,6 +2694,7 @@ impl Hierarchy {
                 self.l1s[core]
                     .installing
                     .insert(addr.0, PendingInstall { state, data });
+                self.changes.record(core, addr.0);
                 self.l1_install_line(now, core, addr, 0)?;
                 self.send_to_l1_unblock(now, core, addr, true);
                 self.l1_finish_pending(now, core, addr, Some(llc_was), source);
@@ -2526,6 +2710,7 @@ impl Hierarchy {
                 self.l1s[core]
                     .installing
                     .insert(addr.0, PendingInstall { state, data });
+                self.changes.record(core, addr.0);
                 self.l1_install_line(now, core, addr, 0)?;
                 self.send_to_l1_unblock(now, core, addr, for_store);
                 self.l1_finish_pending(now, core, addr, Some(llc_was), ServedFrom::RemoteL1);

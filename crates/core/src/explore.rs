@@ -99,6 +99,26 @@ pub enum ExploreMode {
     Fork,
 }
 
+/// The deepest a walk goes, and the largest `max_depth` a command line
+/// or job spec may ask for. A walk past [`SHALLOW_LEVELS`] reserves
+/// stack for every level left to its depth bound: 0.5 GiB at this limit.
+pub const MAX_DEPTH_LIMIT: usize = 1 << 15;
+
+/// `depth` as a `max_depth`, or a message when it exceeds
+/// [`MAX_DEPTH_LIMIT`].
+///
+/// # Errors
+///
+/// Returns the message when `depth` is out of range.
+pub fn check_max_depth(depth: u64) -> Result<usize, String> {
+    match usize::try_from(depth) {
+        Ok(d) if d <= MAX_DEPTH_LIMIT => Ok(d),
+        _ => Err(format!(
+            "max_depth {depth} is above the limit of {MAX_DEPTH_LIMIT}"
+        )),
+    }
+}
+
 /// Budgets and feature toggles for one exploration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreConfig {
@@ -107,7 +127,9 @@ pub struct ExploreConfig {
     /// model laggier networks (more reorderings) at exponential cost.
     pub window: u64,
     /// Maximum schedule length before the path is abandoned as
-    /// runaway (a livelock guard, not a correctness bound).
+    /// runaway (a livelock guard, not a correctness bound). A walk
+    /// stops at [`MAX_DEPTH_LIMIT`] whatever this says; parsed values
+    /// go through [`check_max_depth`].
     pub max_depth: usize,
     /// Stop after this many complete schedules (per task).
     pub max_schedules: u64,
@@ -559,6 +581,15 @@ enum Boundary {
     Defer(Vec<Task>),
 }
 
+/// Schedule depth a walk may reach on the stack it was called on before
+/// it moves to a deeper one (see [`Walker::dfs_on_deep_stack`]). An
+/// unoptimized build spends about 3–6 KiB of stack per level.
+const SHALLOW_LEVELS: usize = 128;
+
+/// Stack reserved per level of schedule depth on a deep walker thread:
+/// room to spare over the unoptimized build's frames.
+const WALK_STACK_PER_LEVEL: usize = 16 << 10;
+
 struct Walker {
     ecfg: ExploreConfig,
     expected: usize,
@@ -595,12 +626,18 @@ struct Walker {
     /// flush only reports the delta.
     flushed_steps: u64,
     flushed_schedules: u64,
+    /// Whether this walk has moved to a thread whose stack fits
+    /// `max_depth` (see [`Walker::dfs_on_deep_stack`]).
+    deep_stack: bool,
 }
 
 impl Walker {
     fn new(ecfg: ExploreConfig, expected: usize) -> Self {
         Walker {
-            ecfg,
+            ecfg: ExploreConfig {
+                max_depth: ecfg.max_depth.min(MAX_DEPTH_LIMIT),
+                ..ecfg
+            },
             expected,
             seen: FxHashMap::default(),
             outcomes: FxHashSet::default(),
@@ -618,6 +655,7 @@ impl Walker {
             nodes_since_flush: 0,
             flushed_steps: 0,
             flushed_schedules: 0,
+            deep_stack: false,
         }
     }
 
@@ -686,6 +724,9 @@ impl Walker {
     /// is returned to its entry state either way (undo mode) or left
     /// untouched (fork mode), so the spine survives task failures.
     fn dfs(&mut self, h: &mut Hierarchy, sleep: &[Choice], depth: usize) -> bool {
+        if depth == SHALLOW_LEVELS && !self.deep_stack {
+            return self.dfs_on_deep_stack(h, sleep, depth);
+        }
         self.report.deepest = self.report.deepest.max(depth);
         self.profile.at(depth).nodes += 1;
         if self.progress.is_some() {
@@ -760,6 +801,35 @@ impl Walker {
         };
         self.recycle(choices);
         ok
+    }
+
+    /// Walks the subtree at `depth` on a new thread whose stack fits the
+    /// levels left down to `max_depth`. The walk recurses a few frames
+    /// per level, so past [`SHALLOW_LEVELS`] it leaves the caller's stack
+    /// (a test thread has 2 MiB): a runaway schedule then ends at the
+    /// depth bound in a truncated report instead of a stack overflow.
+    /// If no such thread can be made, the path ends here, truncated.
+    /// Benchmark trees stay far shallower and never spawn.
+    fn dfs_on_deep_stack(&mut self, h: &mut Hierarchy, sleep: &[Choice], depth: usize) -> bool {
+        let levels = self.ecfg.max_depth.saturating_sub(depth);
+        let stack = levels
+            .saturating_mul(WALK_STACK_PER_LEVEL)
+            .saturating_add(1 << 20);
+        self.deep_stack = true;
+        let ok = std::thread::scope(|s| {
+            let walker = std::thread::Builder::new()
+                .stack_size(stack)
+                .spawn_scoped(s, || self.dfs(h, sleep, depth));
+            walker.map(|w| {
+                w.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+        });
+        self.deep_stack = false;
+        ok.unwrap_or_else(|_| {
+            self.report.truncated = true;
+            true
+        })
     }
 
     /// Returns a choice buffer to the pool.

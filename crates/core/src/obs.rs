@@ -462,6 +462,7 @@ impl RunStats {
             ),
             ("dispatched", Json::Uint(self.hierarchy.dispatched)),
             ("mshr_polls", Json::Uint(self.hierarchy.mshr_polls)),
+            ("poll_events", Json::Uint(self.hierarchy.poll_events)),
         ]);
 
         let memory = Json::object([

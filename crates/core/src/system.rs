@@ -226,6 +226,13 @@ impl System {
     /// Returns per-thread and system statistics; finished threads are
     /// cleared so new ones can be started afterwards.
     ///
+    /// Every core runs once; then the hierarchy advances one event
+    /// timestamp at a time until a timestamp delivers completions, and
+    /// only the cores those completions reached run again. A core with
+    /// no new completion has nothing to do (see
+    /// [`Core::run`](swiftdir_cpu::Core::run)), so the result is the same
+    /// as running every core after every timestamp.
+    ///
     /// # Panics
     ///
     /// Panics with the [`ProtocolError`](swiftdir_coherence::ProtocolError)
@@ -236,11 +243,19 @@ impl System {
         // Completion buffer reused across batches; `try_tick_into`
         // appends instead of returning a fresh vector per event time.
         let mut completions = Vec::new();
-        loop {
-            // 1. Let every runnable CPU make progress. Split the slot's
+        // The cores to run next: every core at first, then only those a
+        // completion reached. A core's `run` issues nothing and changes
+        // nothing until its next `on_mem_complete` (see `Core::run`), so
+        // skipping the others changes no simulated output.
+        let mut woken = vec![true; self.slots.len()];
+        'run: loop {
+            // 1. Let every woken CPU make progress. Split the slot's
             // fields so the core, its TLB, and the shared hierarchy can
             // be borrowed side by side without moving anything out.
             for (i, slot) in self.slots.iter_mut().enumerate() {
+                if !std::mem::take(&mut woken[i]) {
+                    continue;
+                }
                 let CoreSlot { cpu, space, dtlb } = slot;
                 let Some(cpu) = cpu.as_mut() else {
                     continue;
@@ -259,28 +274,28 @@ impl System {
                 }
             }
 
-            // 2. Advance the hierarchy to its next event batch.
-            match self.hier.next_event_time() {
-                Some(t) => {
-                    if let Err(e) = self.hier.try_tick_into(t, &mut completions) {
-                        panic!("{e}");
-                    }
-                    for c in completions.drain(..) {
-                        self.probe.record(&c);
-                        if let Some(cpu) = self.slots[c.core].cpu.as_mut() {
-                            cpu.on_mem_complete(c.req, c.done_at);
-                        }
-                    }
-                }
-                None => {
+            // 2. Advance the hierarchy one event timestamp at a time
+            // until one delivers a completion.
+            while completions.is_empty() {
+                let Some(t) = self.hier.next_event_time() else {
                     let all_done = self
                         .slots
                         .iter()
                         .all(|s| s.cpu.as_ref().is_none_or(|c| c.done()));
                     if all_done {
-                        break;
+                        break 'run;
                     }
                     unreachable!("deadlock: threads waiting with no pending events");
+                };
+                if let Err(e) = self.hier.try_tick_into(t, &mut completions) {
+                    panic!("{e}");
+                }
+            }
+            for c in completions.drain(..) {
+                self.probe.record(&c);
+                if let Some(cpu) = self.slots[c.core].cpu.as_mut() {
+                    cpu.on_mem_complete(c.req, c.done_at);
+                    woken[c.core] = true;
                 }
             }
         }

@@ -100,6 +100,13 @@ impl CoreStats {
 /// The co-simulation interface every core model implements.
 pub trait Core {
     /// Makes as much progress as possible; returns why it stopped.
+    ///
+    /// A core stops only when it cannot go on without a memory completion
+    /// (or has retired everything). So once `run` has returned, running
+    /// again with no [`on_mem_complete`](Core::on_mem_complete) in between
+    /// issues nothing through `port`, changes no state and returns the
+    /// same status. Co-simulation relies on this to run a core only after
+    /// a completion reached it.
     fn run(&mut self, port: &mut dyn MemPort) -> CoreStatus;
 
     /// Delivers a memory completion for a token returned by the port.
@@ -141,6 +148,55 @@ pub trait PortDrain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `core` until it waits on memory, then runs it again with no
+    /// completion in between: the second run must issue nothing and leave
+    /// the clock and the statistics as they were.
+    fn assert_rerun_is_a_no_op(core: &mut dyn Core) {
+        let mut port = FixedLatencyPort::new(50);
+        assert_eq!(core.run(&mut port), CoreStatus::WaitingMem);
+        let (issued, now, stats) = (port.issued.len(), core.now(), core.stats());
+        assert!(issued > 0);
+        for _ in 0..3 {
+            assert_eq!(core.run(&mut port), CoreStatus::WaitingMem);
+            assert_eq!(port.issued.len(), issued, "a rerun issued");
+            assert_eq!((core.now(), core.stats()), (now, stats));
+        }
+        // A completion does wake the core.
+        let (token, at) = port.drain_completions()[0];
+        core.on_mem_complete(token, at);
+        core.run(&mut port);
+        assert!(core.stats() != stats || core.now() != now);
+    }
+
+    /// Loads past the load queue, stores past the drain width and the
+    /// store queue, and compute behind them.
+    fn mixed_program() -> Program {
+        let mut instrs = Vec::new();
+        for i in 0..40u64 {
+            instrs.push(Instr::load(swiftdir_mmu::VirtAddr(i * 64)));
+            instrs.push(Instr::store(swiftdir_mmu::VirtAddr(0x10_000 + i * 64)));
+            instrs.push(Instr::compute(2));
+        }
+        Program::from_instrs(instrs)
+    }
+
+    #[test]
+    fn out_of_order_rerun_without_completion_is_a_no_op() {
+        let mut core = OutOfOrderCore::new(mixed_program().into_stream(), Cycle(0));
+        assert_rerun_is_a_no_op(&mut core);
+        let stores: Program = (0..100u64)
+            .map(|i| Instr::store(swiftdir_mmu::VirtAddr(i * 64)))
+            .collect();
+        let mut core = OutOfOrderCore::new(stores.into_stream(), Cycle(5));
+        assert_rerun_is_a_no_op(&mut core);
+    }
+
+    #[test]
+    fn in_order_rerun_without_completion_is_a_no_op() {
+        let mut core = InOrderCore::new(mixed_program().into_stream(), Cycle(0));
+        assert_rerun_is_a_no_op(&mut core);
+    }
 
     #[test]
     fn core_stats_ipc() {

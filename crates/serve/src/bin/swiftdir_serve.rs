@@ -29,6 +29,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use swiftdir_core::explore::check_max_depth;
 use swiftdir_serve::{parse_protocol, ExploreJob, FuzzJob, JobKind, JobSpec, JobState, Server};
 
 fn main() -> ExitCode {
@@ -129,7 +130,7 @@ fn cmd_submit(rest: &[String]) -> Result<ExitCode, String> {
             "--cores" => explore.cores = parse(value("--cores")?, "--cores")? as usize,
             "--blocks" => explore.blocks = parse(value("--blocks")?, "--blocks")? as usize,
             "--window" => explore.window = parse(value("--window")?, "--window")?,
-            "--depth" => explore.max_depth = parse(value("--depth")?, "--depth")? as usize,
+            "--depth" => explore.max_depth = check_max_depth(parse(value("--depth")?, "--depth")?)?,
             "--ops" => {
                 let ops = parse(value("--ops")?, "--ops")? as usize;
                 fuzz.ops = Some(ops);

@@ -39,7 +39,7 @@ use std::time::Duration;
 use sim_engine::{CampaignCounters, Json, ProgressSampler};
 use swiftdir_coherence::ProtocolKind;
 use swiftdir_core::diff::{contended_stream, tiny_config};
-use swiftdir_core::explore::{ExploreConfig, EXPLORE_PHASES};
+use swiftdir_core::explore::{check_max_depth, ExploreConfig, EXPLORE_PHASES};
 use swiftdir_core::fuzz::{FuzzConfig, FUZZ_PHASES};
 use swiftdir_core::stream::StreamFile;
 use swiftdir_core::{
@@ -304,7 +304,7 @@ impl JobSpec {
                     blocks: u("blocks").map_or(d.blocks, |v| v as usize),
                     ops: u("ops").map_or(d.ops, |v| v as usize),
                     window: u("window").unwrap_or(d.window),
-                    max_depth: u("max_depth").map_or(d.max_depth, |v| v as usize),
+                    max_depth: u("max_depth").map_or(Ok(d.max_depth), check_max_depth)?,
                     protocols,
                     stream_text: j.get("stream").and_then(Json::as_str).map(str::to_string),
                 })
@@ -878,6 +878,26 @@ mod tests {
         assert_eq!(JobResult::parse(&result.to_json()).unwrap(), result);
 
         assert!(JobSpec::parse(&Json::object([("schema", Json::from("nope"))])).is_err());
+    }
+
+    #[test]
+    fn oversized_max_depth_is_rejected() {
+        let job = |depth: u64| {
+            Json::object([
+                ("schema", Json::from(JOB_SCHEMA)),
+                ("kind", Json::from("explore")),
+                ("max_depth", Json::Uint(depth)),
+            ])
+        };
+        let limit = swiftdir_core::explore::MAX_DEPTH_LIMIT as u64;
+        let JobKind::Explore(e) = JobSpec::parse(&job(limit)).unwrap().kind else {
+            panic!("not an explore job");
+        };
+        assert_eq!(e.max_depth, limit as usize);
+        for depth in [limit + 1, 1_000_000, u64::MAX] {
+            let err = JobSpec::parse(&job(depth)).unwrap_err();
+            assert!(err.contains("max_depth"), "{err}");
+        }
     }
 
     #[test]

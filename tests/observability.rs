@@ -153,6 +153,13 @@ fn snapshot_round_trips_and_reconciles_with_typed_stats() {
         Some(stats.hierarchy.mshr_polls)
     );
     assert!(stats.hierarchy.mshr_polls <= stats.hierarchy.dispatched);
+    assert_eq!(
+        snap.get("hierarchy")
+            .and_then(|h| h.get("poll_events"))
+            .and_then(Json::as_u64),
+        Some(stats.hierarchy.poll_events)
+    );
+    assert!(stats.hierarchy.poll_events <= stats.hierarchy.mshr_polls);
 
     // The registry section carries one latency histogram per request
     // class, and their counts sum to the number of completions.

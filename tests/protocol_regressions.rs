@@ -22,15 +22,18 @@
 use sim_engine::Cycle;
 use swiftdir::cache::CacheGeometry;
 use swiftdir::coherence::{
-    AccessKind, Checker, Completion, CoreRequest, Hierarchy, HierarchyConfig, L1State, ProtocolKind,
+    AccessKind, Checker, CoherenceEvent, Completion, CoreRequest, Hierarchy, HierarchyConfig,
+    L1State, ProtocolKind,
 };
 use swiftdir::core::diff::tiny_config;
 use swiftdir::core::explore::{explore, ExploreConfig, ExploreMode};
 use swiftdir::core::fuzz::{
     minimize_outcome, run_fuzz, FuzzConfig, FuzzFailureKind, MinimizeOutcome,
 };
-use swiftdir::core::AccessOp;
+use swiftdir::core::{AccessOp, RunStats, System, SystemConfig};
+use swiftdir::cpu::CpuModel;
 use swiftdir::mmu::PhysAddr;
+use swiftdir::workloads::ParsecBenchmark;
 
 // ---------------------------------------------------------------------------
 // Pinned fuzzer-found regressions
@@ -496,7 +499,7 @@ fn set_digest(set: &[u64]) -> u64 {
 /// (schedules, steps, outcome and timing sets, the whole report) is
 /// pinned, and the undo and fork walkers agree on it. The window stays
 /// below the poll period: from 4 cycles up the walker may pick the
-/// next poll forever.
+/// next poll forever (see `runaway_mshr_polls_truncate_at_max_depth`).
 #[test]
 fn explored_mshr_polls_are_pinned() {
     let stream = [
@@ -629,5 +632,520 @@ fn fault_on_a_polling_member_is_pinned() {
             s.dispatched,
         );
         assert_eq!(got, want, "{protocol:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MSHR-full retries: hard cases for skipping a retry that must stall again
+// ---------------------------------------------------------------------------
+
+/// Every `HierarchyStats` scalar of one run, plus its completion digest
+/// and whether it ended in a protocol error.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct StallPin {
+    failed: bool,
+    digest: u64,
+    l1_hits: u64,
+    l1_misses: u64,
+    mshr_merges: u64,
+    recalls: u64,
+    silent_upgrades: u64,
+    dispatched: u64,
+    mshr_polls: u64,
+}
+
+/// One step of a stall scenario on the two-core, two-set L1 of
+/// [`saturated`], warmed by [`warm`].
+#[derive(Debug, Clone, Copy)]
+enum StallOp {
+    /// `(cycle, core, request)`, issued when the script reaches it.
+    Issue(u64, usize, CoreRequest),
+    /// Deliver every event before this cycle.
+    At(u64),
+    /// Deliver every event before the cycle, then overwrite a line:
+    /// `(cycle, core, block, state)`.
+    Force(u64, usize, PhysAddr, L1State),
+}
+
+/// Runs `script` on a warmed two-core hierarchy with `mshrs` MSHRs per
+/// core, stepping event by event (`stepped`, as the fuzzer does) or in
+/// timestamp batches, and pins the result.
+fn stall_pin(protocol: ProtocolKind, mshrs: usize, script: &[StallOp], stepped: bool) -> StallPin {
+    let mut cfg = *saturated(protocol).config();
+    cfg.l1_mshrs = mshrs;
+    let mut h = Hierarchy::new(cfg);
+    warm(&mut h);
+    let mut done = Vec::new();
+    let mut failed = false;
+    let advance = |h: &mut Hierarchy, before: u64, done: &mut Vec<Completion>| {
+        if stepped {
+            while h.next_event_time().is_some_and(|t| t < Cycle(before)) {
+                h.try_step().expect("protocol error");
+            }
+        } else {
+            h.try_tick_into(Cycle(before - 1), done)
+                .expect("protocol error");
+        }
+    };
+    for &op in script {
+        match op {
+            StallOp::Issue(at, core, req) => {
+                h.issue(Cycle(at), core, req);
+            }
+            StallOp::At(before) => advance(&mut h, before, &mut done),
+            StallOp::Force(before, core, block, state) => {
+                advance(&mut h, before, &mut done);
+                h.test_force_l1_state(core, block, state, 0xbad);
+            }
+        }
+    }
+    if stepped {
+        loop {
+            match h.try_step() {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(_) => {
+                    failed = true;
+                    break;
+                }
+            }
+        }
+        done.extend(h.drain_completions());
+    } else {
+        match h.run_until_idle() {
+            Ok(rest) => done.extend(rest),
+            Err(_) => failed = true,
+        }
+    }
+    let s = h.stats();
+    StallPin {
+        failed,
+        digest: completion_digest(&done),
+        l1_hits: s.l1_hits,
+        l1_misses: s.l1_misses,
+        mshr_merges: s.mshr_merges,
+        recalls: s.recalls,
+        silent_upgrades: s.silent_upgrades,
+        dispatched: s.dispatched,
+        mshr_polls: s.mshr_polls,
+    }
+}
+
+/// Asserts `script` pins to `expected` under every protocol, batched
+/// and stepped.
+fn assert_stall_pins(
+    name: &str,
+    mshrs: usize,
+    script: &[StallOp],
+    expected: [(ProtocolKind, StallPin); 4],
+) {
+    for (protocol, want) in expected {
+        for stepped in [false, true] {
+            let got = stall_pin(protocol, mshrs, script, stepped);
+            assert_eq!(got, want, "{name}: {protocol:?} (stepped: {stepped})");
+        }
+    }
+}
+
+fn ld(at: u64, core: usize, block: u64) -> StallOp {
+    StallOp::Issue(at, core, CoreRequest::load(PhysAddr(block)))
+}
+
+fn st(at: u64, core: usize, block: u64) -> StallOp {
+    StallOp::Issue(at, core, CoreRequest::store(PhysAddr(block)))
+}
+
+/// Builds a [`StallPin`] from its fields in declaration order.
+#[allow(clippy::too_many_arguments)]
+const fn sp(
+    failed: bool,
+    digest: u64,
+    l1_hits: u64,
+    l1_misses: u64,
+    mshr_merges: u64,
+    recalls: u64,
+    silent_upgrades: u64,
+    dispatched: u64,
+    mshr_polls: u64,
+) -> StallPin {
+    StallPin {
+        failed,
+        digest,
+        l1_hits,
+        l1_misses,
+        mshr_merges,
+        recalls,
+        silent_upgrades,
+        dispatched,
+        mshr_polls,
+    }
+}
+
+/// (a) Core 0's store to Z finds Z's S grant parked in the installing
+/// buffer (both ways of its set hold upgrades in SM_A) and its three
+/// MSHRs full, so it polls as a miss. An `Inv` then frees a way, Z's
+/// install lands without any MSHR freeing, and the store keeps polling,
+/// now as an upgrade of an S line.
+fn installing_store_script() -> Vec<StallOp> {
+    vec![
+        StallOp::Issue(2000, 0, CoreRequest::load(PhysAddr(256)).write_protected()),
+        st(2059, 1, 0),
+        st(2060, 0, 0),
+        st(2060, 0, 128),
+        ld(2074, 0, 64),
+        st(2074, 0, 256),
+    ]
+}
+
+/// (b) Core 0's load of 0xc0 polls from 2001; at 2073 a grant frees an
+/// MSHR in the cycle its group retries, and a new request for 0x140 at
+/// 2073 is ordered before the group (`refill_first`, issued once the
+/// grant is in flight but before the group is re-armed) or after it.
+fn same_cycle_refill_script(refill_first: bool) -> Vec<StallOp> {
+    vec![
+        ld(2000, 0, 256),
+        ld(2000, 0, 64),
+        ld(2001, 0, 192),
+        StallOp::At(if refill_first { 2067 } else { 2070 }),
+        ld(2073, 0, 320),
+    ]
+}
+
+/// (c) Both cores fill their MSHRs and stall in the same cycle, so one
+/// group carries a member of each; core 0 frees an entry at 2073 while
+/// core 1's stay busy until 2114.
+fn two_core_group_script() -> Vec<StallOp> {
+    vec![
+        ld(2000, 0, 256),
+        ld(2000, 0, 64),
+        ld(2000, 1, 0x1100),
+        ld(2000, 1, 0x1140),
+        ld(2001, 0, 192),
+        ld(2001, 1, 0x11c0),
+    ]
+}
+
+/// (d) A rogue S line lands between polls on the block of a polling
+/// load that no MSHR change would have woken; its next poll hits.
+fn fault_on_stalled_miss_script() -> Vec<StallOp> {
+    vec![
+        ld(2000, 0, 256),
+        ld(2000, 0, 64),
+        ld(2001, 0, 192),
+        st(2002, 0, 0x1c0),
+        StallOp::Force(2010, 0, PhysAddr(192), L1State::S),
+    ]
+}
+
+/// (e) One group holds two misses and, last, a store to A that polls as
+/// an upgrade. B is touched after A first stalls; when C's grant needs a
+/// victim in A and B's set, A's polls have kept it the more recent way,
+/// so B is evicted.
+fn polling_upgrade_recency_script() -> Vec<StallOp> {
+    vec![
+        ld(2000, 0, 64),
+        ld(2000, 0, 192),
+        ld(2001, 0, 256),
+        ld(2001, 0, 320),
+        st(2001, 0, 0),
+        ld(2010, 0, 128),
+    ]
+}
+
+/// (a) [`installing_store_script`]: the completion digest and every
+/// stats scalar per protocol, batched and stepped, as recorded when
+/// each member of a delivered retry group ran its own L1 access.
+#[test]
+fn installing_store_polls_until_its_install_lands() {
+    assert_stall_pins(
+        "installing_store_polls_until_its_install_lands",
+        3,
+        &installing_store_script(),
+        [
+            (
+                ProtocolKind::Msi,
+                sp(false, 0x9f88_2270_197e_0e86, 0, 6, 0, 0, 0, 56, 5),
+            ),
+            (
+                ProtocolKind::Mesi,
+                sp(false, 0x3401_120c_1b96_5880, 1, 6, 0, 0, 1, 55, 0),
+            ),
+            (
+                ProtocolKind::SMesi,
+                sp(false, 0x0383_76d7_3b37_19fd, 0, 6, 0, 0, 0, 57, 5),
+            ),
+            (
+                ProtocolKind::SwiftDir,
+                sp(false, 0x9f88_2270_197e_0e86, 0, 6, 0, 0, 0, 62, 5),
+            ),
+        ],
+    );
+}
+
+/// (b) [`same_cycle_refill_script`], refill first: the completion digest
+/// and every stats scalar per protocol, batched and stepped, as recorded when
+/// each member of a delivered retry group ran its own L1 access.
+#[test]
+fn same_cycle_refill_before_a_group_is_pinned() {
+    assert_stall_pins(
+        "same_cycle_refill_before_a_group_is_pinned",
+        2,
+        &same_cycle_refill_script(true),
+        [
+            (
+                ProtocolKind::Msi,
+                sp(false, 0xe82e_438d_9083_2cd4, 0, 8, 0, 0, 0, 72, 32),
+            ),
+            (
+                ProtocolKind::Mesi,
+                sp(false, 0xe82e_438d_9083_2cd4, 0, 8, 0, 0, 0, 79, 32),
+            ),
+            (
+                ProtocolKind::SMesi,
+                sp(false, 0xe82e_438d_9083_2cd4, 0, 8, 0, 0, 0, 73, 32),
+            ),
+            (
+                ProtocolKind::SwiftDir,
+                sp(false, 0xe82e_438d_9083_2cd4, 0, 8, 0, 0, 0, 79, 32),
+            ),
+        ],
+    );
+}
+
+/// (b) [`same_cycle_refill_script`], group first: the completion digest
+/// and every stats scalar per protocol, batched and stepped, as recorded when
+/// each member of a delivered retry group ran its own L1 access.
+#[test]
+fn same_cycle_refill_after_a_group_is_pinned() {
+    assert_stall_pins(
+        "same_cycle_refill_after_a_group_is_pinned",
+        2,
+        &same_cycle_refill_script(false),
+        [
+            (
+                ProtocolKind::Msi,
+                sp(false, 0x8243_abcb_ee56_52e4, 0, 8, 0, 0, 0, 72, 32),
+            ),
+            (
+                ProtocolKind::Mesi,
+                sp(false, 0x8243_abcb_ee56_52e4, 0, 8, 0, 0, 0, 79, 32),
+            ),
+            (
+                ProtocolKind::SMesi,
+                sp(false, 0x8243_abcb_ee56_52e4, 0, 8, 0, 0, 0, 73, 32),
+            ),
+            (
+                ProtocolKind::SwiftDir,
+                sp(false, 0x8243_abcb_ee56_52e4, 0, 8, 0, 0, 0, 79, 32),
+            ),
+        ],
+    );
+}
+
+/// (c) [`two_core_group_script`]: the completion digest and every
+/// stats scalar per protocol, batched and stepped, as recorded when
+/// each member of a delivered retry group ran its own L1 access.
+#[test]
+fn two_core_group_with_one_core_freeing_is_pinned() {
+    assert_stall_pins(
+        "two_core_group_with_one_core_freeing_is_pinned",
+        2,
+        &two_core_group_script(),
+        [
+            (
+                ProtocolKind::Msi,
+                sp(false, 0x9967_3fa4_0e97_f9ee, 0, 10, 0, 0, 0, 97, 47),
+            ),
+            (
+                ProtocolKind::Mesi,
+                sp(false, 0x9967_3fa4_0e97_f9ee, 0, 10, 0, 0, 0, 103, 47),
+            ),
+            (
+                ProtocolKind::SMesi,
+                sp(false, 0x9967_3fa4_0e97_f9ee, 0, 10, 0, 0, 0, 98, 47),
+            ),
+            (
+                ProtocolKind::SwiftDir,
+                sp(false, 0x9967_3fa4_0e97_f9ee, 0, 10, 0, 0, 0, 103, 47),
+            ),
+        ],
+    );
+}
+
+/// (d) [`fault_on_stalled_miss_script`]: the completion digest and every
+/// stats scalar per protocol, batched and stepped, as recorded when
+/// each member of a delivered retry group ran its own L1 access.
+#[test]
+fn fault_on_a_stalled_miss_is_pinned() {
+    assert_stall_pins(
+        "fault_on_a_stalled_miss_is_pinned",
+        2,
+        &fault_on_stalled_miss_script(),
+        [
+            (
+                ProtocolKind::Msi,
+                sp(false, 0x5dc3_634d_4bde_d55f, 1, 7, 0, 0, 0, 58, 21),
+            ),
+            (
+                ProtocolKind::Mesi,
+                sp(false, 0x5dc3_634d_4bde_d55f, 1, 7, 0, 0, 0, 64, 21),
+            ),
+            (
+                ProtocolKind::SMesi,
+                sp(false, 0x5dc3_634d_4bde_d55f, 1, 7, 0, 0, 0, 58, 21),
+            ),
+            (
+                ProtocolKind::SwiftDir,
+                sp(false, 0x5dc3_634d_4bde_d55f, 1, 7, 0, 0, 0, 64, 21),
+            ),
+        ],
+    );
+}
+
+/// (e) [`polling_upgrade_recency_script`]: the completion digest and every
+/// stats scalar per protocol, batched and stepped, as recorded when
+/// each member of a delivered retry group ran its own L1 access.
+#[test]
+fn polling_upgrade_recency_picks_the_victim() {
+    assert_stall_pins(
+        "polling_upgrade_recency_picks_the_victim",
+        2,
+        &polling_upgrade_recency_script(),
+        [
+            (
+                ProtocolKind::Msi,
+                sp(false, 0x2a11_ce6e_76ef_11e2, 1, 8, 0, 0, 0, 142, 96),
+            ),
+            (
+                ProtocolKind::Mesi,
+                sp(false, 0x2a11_ce6e_76ef_11e2, 1, 8, 0, 0, 0, 149, 96),
+            ),
+            (
+                ProtocolKind::SMesi,
+                sp(false, 0x2a11_ce6e_76ef_11e2, 1, 8, 0, 0, 0, 143, 96),
+            ),
+            (
+                ProtocolKind::SwiftDir,
+                sp(false, 0x2a11_ce6e_76ef_11e2, 1, 8, 0, 0, 0, 149, 96),
+            ),
+        ],
+    );
+}
+
+/// FNV-1a over a whole [`RunStats`]: per-thread retirement, every
+/// hierarchy scalar and event count, both transition matrices, the
+/// install counters and the DRAM counters.
+fn run_stats_digest(s: &RunStats) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut mix = |v: u64| {
+        for b in v.to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for t in &s.threads {
+        mix(t.core as u64);
+        mix(t.cpu.instructions);
+        mix(t.cpu.started_at.get());
+        mix(t.cpu.finished_at.get());
+        mix(t.cpu.mem_ops);
+    }
+    let h = &s.hierarchy;
+    for e in CoherenceEvent::ALL {
+        mix(h.event(e));
+    }
+    for v in [
+        h.l1_hits,
+        h.l1_misses,
+        h.mshr_merges,
+        h.recalls,
+        h.silent_upgrades,
+        h.dispatched,
+        h.mshr_polls,
+        h.protocol.install_retries(),
+        h.protocol.install_stalls(),
+    ] {
+        mix(v);
+    }
+    for (from, to, n) in h.protocol.l1_nonzero() {
+        mix(from as u64);
+        mix(to as u64);
+        mix(n);
+    }
+    for (from, to, n) in h.protocol.llc_nonzero() {
+        mix(from as u64);
+        mix(to as u64);
+        mix(n);
+    }
+    let m = &s.memory;
+    for v in [m.reads, m.writes, m.row_hits, m.row_closed, m.row_conflicts] {
+        mix(v);
+    }
+    hash
+}
+
+/// One 4-core Figure 8 point at `instructions` per thread.
+fn parsec_point(bench: ParsecBenchmark, protocol: ProtocolKind, instructions: u64) -> RunStats {
+    let cfg = SystemConfig::builder()
+        .cores(4)
+        .protocol(protocol)
+        .cpu_model(CpuModel::DerivO3)
+        .build();
+    let mut sys = System::new(cfg);
+    let pid = sys.spawn_process();
+    for t in bench.build_threads(&mut sys, pid, instructions) {
+        sys.run_thread_stream(pid, t.core, t.stream);
+    }
+    sys.run_to_completion()
+}
+
+/// (f) A 4-core Streamcluster point at 1,500 instructions per thread:
+/// MSHR-full retries from every core, with the cores woken by their
+/// completions. The whole `RunStats` is pinned per protocol, as recorded
+/// when every core ran after every event timestamp and each retry ran its
+/// own L1 access.
+#[test]
+fn parsec_point_run_stats_are_pinned() {
+    let expected = [
+        (ProtocolKind::Mesi, 0xf55b_bd48_f42b_666a, 95_392),
+        (ProtocolKind::SwiftDir, 0xc4f0_46af_5418_4cab, 82_888),
+        (ProtocolKind::SMesi, 0xce81_6762_198a_9f94, 63_164),
+    ];
+    for (protocol, digest, polls) in expected {
+        let s = parsec_point(ParsecBenchmark::Streamcluster, protocol, 1_500);
+        assert_eq!(s.instructions(), 6_000, "{protocol:?}");
+        assert_eq!(s.hierarchy.mshr_polls, polls, "{protocol:?}");
+        assert_eq!(run_stats_digest(&s), digest, "{protocol:?}");
+    }
+}
+
+/// With one MSHR per core and a frontier window of a poll period or
+/// more, the walker can deliver core 0's 4-cycle retry ahead of the
+/// reply that would free its MSHR again and again, so the tree has no
+/// bottom. The runaway guard must end such schedules at `max_depth` and
+/// report the walk truncated, on a test thread's 2 MiB stack. The depth
+/// is 1024 rather than the default 4096 to keep the walk short; an
+/// unoptimized walk 1024 levels deep needs more than 2 MiB of stack.
+#[test]
+fn runaway_mshr_polls_truncate_at_max_depth() {
+    let stream = [
+        AccessOp::load(0, 0, 0),
+        AccessOp::load(0, 0, 64),
+        AccessOp::store(2, 1, 0),
+    ];
+    let mut cfg = tiny_config(2, ProtocolKind::Mesi);
+    cfg.l1_mshrs = 1;
+    for window in [4, 8] {
+        let ecfg = ExploreConfig {
+            window,
+            max_depth: 1024,
+            max_states: 12_000,
+            sleep_sets: false,
+            ..ExploreConfig::default()
+        };
+        let report = explore(&cfg, &stream, &ecfg);
+        assert_eq!(report.error, None, "window {window}");
+        assert!(report.truncated, "window {window}");
+        assert_eq!(report.deepest, 1024, "window {window}");
     }
 }
