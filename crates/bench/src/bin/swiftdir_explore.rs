@@ -28,10 +28,11 @@
 //!   exact Table I–III coverage per protocol — every legal (state,
 //!   event) pair observed, nothing outside the legal set — printing any
 //!   uncovered or illegal pairs.
-//! * `--depth-profile` — print the per-depth walk profile (nodes,
-//!   backtracks, undo bytes) per protocol as a metrics snapshot. The
-//!   profile is collected on every exploration run regardless; this
-//!   flag only controls the printout.
+//! * `--depth-profile` — print each protocol's per-depth walk profile
+//!   after its summary line: a JSON array of `{depth, nodes, backtracks,
+//!   undo_bytes}` objects, the same form the final heartbeat carries as
+//!   `depth_profile`. The profile is collected on every exploration run
+//!   regardless; this flag only controls the printout.
 //! * `--progress FILE|-` — stream `swiftdir.progress.v1` heartbeats
 //!   (JSONL, one campaign unit per explored tree) to `FILE` (`-` =
 //!   stdout) during the exploration suite; the final record folds in
@@ -58,7 +59,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use sim_engine::{CampaignCounters, MetricsRegistry, ProgressSampler};
+use sim_engine::{CampaignCounters, ProgressSampler};
 use swiftdir_coherence::{CoverageSpec, ObservedCoverage, ProtocolKind};
 use swiftdir_core::diff::{
     architectural_diff, contended_stream, explored_equivalence, tiny_config, well_separated_stream,
@@ -334,10 +335,7 @@ fn explore_suite(args: &Args, sampler: Option<&Arc<ProgressSampler>>) -> bool {
             ok = false;
         }
         if args.depth_profile {
-            let mut reg = MetricsRegistry::new();
-            let prefix = format!("explore.{}.", format!("{protocol:?}").to_ascii_lowercase());
-            profile.export_into(&mut reg, &prefix);
-            println!("{}", reg.snapshot().to_pretty());
+            println!("{}", profile.to_json().to_pretty());
         }
         campaign_profile.merge(&profile);
     }

@@ -2,7 +2,7 @@
 //!
 //! * [`geometry`] — size/associativity/block math ([`CacheGeometry`]).
 //! * [`replacement`] — LRU / FIFO / pseudo-random victim selection.
-//! * [`array`] — a set-associative array generic over the per-line state
+//! * [`array`](mod@array) — a set-associative array generic over the per-line state
 //!   (the coherence crate instantiates it with protocol states).
 //! * [`mshr`] — miss-status holding registers, bounding outstanding misses
 //!   and merging requests to the same block.

@@ -240,16 +240,6 @@ impl CoverageSpec {
         self.l1.len()
     }
 
-    /// Number of legal LLC transitions.
-    pub fn llc_len(&self) -> usize {
-        self.llc.len()
-    }
-
-    /// Number of legal event classes.
-    pub fn events_len(&self) -> usize {
-        self.events.len()
-    }
-
     /// Diffs `observed` against the spec in both directions.
     pub fn check(&self, observed: &ObservedCoverage) -> CoverageReport {
         let mut r = CoverageReport {

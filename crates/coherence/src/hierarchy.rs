@@ -176,7 +176,7 @@ pub struct HierarchyStats {
     /// share of `dispatched` spent re-polling.
     pub mshr_polls: u64,
     /// Poll groups delivered from the event queue, each carrying one or
-    /// more of the `mshr_polls` retries (see [`Hierarchy::l1_poll`]): the
+    /// more of the `mshr_polls` retries (see `Hierarchy::l1_poll`): the
     /// queue operations the retries cost.
     pub poll_events: u64,
     /// Transition-count matrices and per-class latency histograms.

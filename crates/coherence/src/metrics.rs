@@ -7,7 +7,8 @@
 //! [`HierarchyStats`](crate::hierarchy::HierarchyStats) so they are cloned
 //! into every run's results and covered by the determinism suite.
 
-use sim_engine::{Histogram, Json, Metric, MetricsRegistry};
+use sim_engine::stats::counter_json;
+use sim_engine::{Histogram, Json};
 
 use crate::hierarchy::{AccessKind, ServedFrom};
 use crate::state::{L1State, LlcState};
@@ -279,94 +280,35 @@ impl ProtocolMetrics {
         })
     }
 
-    /// Exports everything into `reg` under `prefix`: non-zero matrix cells
-    /// as counters (`{prefix}transitions.l1.{from}->{to}`) and one latency
-    /// histogram per class (`{prefix}latency.{class}`, always present so
-    /// reports have a stable shape).
-    pub fn export_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        for (from, to, n) in self.l1_nonzero() {
-            reg.counter(&format!(
-                "{prefix}transitions.l1.{}->{}",
-                from.name(),
-                to.name()
-            ))
-            .add(n);
-        }
-        for (from, to, n) in self.llc_nonzero() {
-            reg.counter(&format!(
-                "{prefix}transitions.llc.{}->{}",
-                from.name(),
-                to.name()
-            ))
-            .add(n);
-        }
-        for class in RequestClass::ALL {
-            reg.insert(
-                &format!("{prefix}latency.{}", class.name()),
-                Metric::Histogram(self.latency(class).clone()),
-            );
-        }
-        reg.counter(&format!("{prefix}install_retries"))
-            .add(self.install_retries);
-        reg.counter(&format!("{prefix}install_stalls"))
-            .add(self.install_stalls);
-    }
-
-    /// The matrices as nested JSON objects (`{"from": {"to": count}}`,
-    /// non-zero cells only) plus per-class latency summaries — the
-    /// `coherence` section of a run snapshot.
-    pub fn to_json(&self) -> Json {
-        let matrix_json = |cells: Vec<(&'static str, &'static str, u64)>| {
-            let mut rows: Vec<(String, Json)> = Vec::new();
-            for (from, to, n) in cells {
-                match rows.iter_mut().find(|(name, _)| name == from) {
-                    Some((_, Json::Object(members))) => {
-                        members.push((to.to_string(), Json::from(n)));
-                    }
-                    _ => {
-                        rows.push((
-                            from.to_string(),
-                            Json::Object(vec![(to.to_string(), Json::from(n))]),
-                        ));
-                    }
-                }
-            }
-            Json::Object(rows)
-        };
-        Json::object([
+    /// The run-snapshot metrics under `prefix`, as `(name, value)` pairs:
+    /// non-zero matrix cells as counters
+    /// (`{prefix}transitions.{l1,llc}.{from}->{to}`), one latency histogram
+    /// per class (`{prefix}latency.{class}`, always present so reports have
+    /// a stable shape) and the `{prefix}install_{retries,stalls}` counters.
+    pub fn snapshot_entries<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (String, Json)> + 'a {
+        let l1 = self.l1_nonzero().map(move |(from, to, n)| {
+            let name = format!("{prefix}transitions.l1.{}->{}", from.name(), to.name());
+            (name, counter_json(n))
+        });
+        let llc = self.llc_nonzero().map(move |(from, to, n)| {
+            let name = format!("{prefix}transitions.llc.{}->{}", from.name(), to.name());
+            (name, counter_json(n))
+        });
+        let latency = RequestClass::ALL.into_iter().map(move |class| {
             (
-                "l1_transitions",
-                matrix_json(
-                    self.l1_nonzero()
-                        .map(|(f, t, n)| (f.name(), t.name(), n))
-                        .collect(),
-                ),
-            ),
-            (
-                "llc_transitions",
-                matrix_json(
-                    self.llc_nonzero()
-                        .map(|(f, t, n)| (f.name(), t.name(), n))
-                        .collect(),
-                ),
-            ),
-            (
-                "latency",
-                Json::Object(
-                    RequestClass::ALL
-                        .into_iter()
-                        .map(|c| {
-                            (
-                                c.name().to_string(),
-                                Metric::Histogram(self.latency(c).clone()).to_json(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            ("install_retries", Json::from(self.install_retries)),
-            ("install_stalls", Json::from(self.install_stalls)),
-        ])
+                format!("{prefix}latency.{}", class.name()),
+                self.latency(class).to_json(),
+            )
+        });
+        let installs = [
+            ("install_retries", self.install_retries),
+            ("install_stalls", self.install_stalls),
+        ]
+        .map(|(name, n)| (format!("{prefix}{name}"), counter_json(n)));
+        l1.chain(llc).chain(latency).chain(installs)
     }
 }
 
@@ -425,40 +367,5 @@ mod tests {
         assert_eq!(m.l1_total(), 2);
         assert_eq!(m.llc_total(), 1);
         assert_eq!(m.l1_installs(), 1);
-    }
-
-    #[test]
-    fn export_names_are_stable() {
-        let mut m = ProtocolMetrics::default();
-        m.record_l1(L1State::E, L1State::M);
-        m.record_latency(RequestClass::GetsWp, 17);
-        let mut reg = MetricsRegistry::new();
-        m.export_into(&mut reg, "coherence.");
-        assert!(reg.get("coherence.transitions.l1.E->M").is_some());
-        assert!(reg.get("coherence.latency.GETS_WP").is_some());
-        assert!(
-            reg.get("coherence.latency.GETX").is_some(),
-            "empty classes still exported for stable report shape"
-        );
-        assert!(reg.get("coherence.transitions.l1.I->S").is_none());
-    }
-
-    #[test]
-    fn json_matrix_is_nested_by_from_state() {
-        let mut m = ProtocolMetrics::default();
-        m.record_l1(L1State::I, L1State::IsD);
-        m.record_l1(L1State::I, L1State::ImD);
-        m.record_llc(LlcState::I, LlcState::M);
-        let j = m.to_json();
-        let l1 = j.get("l1_transitions").unwrap();
-        let from_i = l1.get("I").unwrap();
-        assert_eq!(from_i.get("IS_D").and_then(Json::as_u64), Some(1));
-        assert_eq!(from_i.get("IM_D").and_then(Json::as_u64), Some(1));
-        let llc = j.get("llc_transitions").unwrap();
-        assert_eq!(
-            llc.get("I").and_then(|r| r.get("M")).and_then(Json::as_u64),
-            Some(1)
-        );
-        assert!(j.get("latency").and_then(|l| l.get("GETS_WP")).is_some());
     }
 }

@@ -65,9 +65,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sim_engine::{
-    Cycle, FxHashMap, FxHashSet, Json, MemGauge, Metric, MetricsRegistry, ProgressSampler,
-};
+use sim_engine::{Cycle, FxHashMap, FxHashSet, Json, MemGauge, ProgressSampler};
 use swiftdir_coherence::{
     Checker, Choice, Completion, Hierarchy, HierarchyConfig, ObservedCoverage, RequestId,
 };
@@ -100,7 +98,7 @@ pub enum ExploreMode {
 }
 
 /// The deepest a walk goes, and the largest `max_depth` a command line
-/// or job spec may ask for. A walk past [`SHALLOW_LEVELS`] reserves
+/// or job spec may ask for. A walk past `SHALLOW_LEVELS` reserves
 /// stack for every level left to its depth bound: 0.5 GiB at this limit.
 pub const MAX_DEPTH_LIMIT: usize = 1 << 15;
 
@@ -176,8 +174,8 @@ impl Default for ExploreConfig {
 
 /// Picks the decomposition depth from the root node's branching factor:
 /// the shallowest frontier depth whose expected boundary-node count
-/// (`branching^depth`) reaches [`SPLIT_TARGET_TASKS`], clamped to
-/// [`MAX_ADAPTIVE_SPLIT_DEPTH`]. Wide frontiers split shallow (depth 1
+/// (`branching^depth`) reaches `SPLIT_TARGET_TASKS` (64), clamped to
+/// `MAX_ADAPTIVE_SPLIT_DEPTH` (6). Wide frontiers split shallow (depth 1
 /// already yields enough tasks); narrow frontiers split deeper instead
 /// of silently serializing behind a fixed depth-2 boundary. A root with
 /// at most one choice keeps the historical depth of 2 — deeper
@@ -374,25 +372,6 @@ impl DepthProfile {
             ])
         }))
     }
-
-    /// Registers every per-depth counter under `prefix` (e.g.
-    /// `explore.depth.004.nodes`), for metric snapshots.
-    pub fn export_into(&self, reg: &mut MetricsRegistry, prefix: &str) {
-        for (d, s) in self.depths.iter().enumerate() {
-            reg.insert(
-                &format!("{prefix}depth.{d:03}.nodes"),
-                Metric::Counter(s.nodes.into()),
-            );
-            reg.insert(
-                &format!("{prefix}depth.{d:03}.backtracks"),
-                Metric::Counter(s.backtracks.into()),
-            );
-            reg.insert(
-                &format!("{prefix}depth.{d:03}.undo_bytes"),
-                Metric::Counter(s.undo_bytes.into()),
-            );
-        }
-    }
 }
 
 /// Explores every schedule of `stream` on a fresh hierarchy built from
@@ -424,7 +403,7 @@ pub fn explore_parallel_profiled(
 ///
 /// With a sampler attached, the walkers publish step/schedule deltas
 /// and memory gauges (seen-table entries/bytes, undo-log bytes,
-/// transient-slab bytes) every [`EXPLORE_TELEMETRY_EVERY`] nodes, wall
+/// transient-slab bytes) every `EXPLORE_TELEMETRY_EVERY` (1024) nodes, wall
 /// time is attributed to the [`EXPLORE_PHASES`] spans, the worker pool
 /// reports per-slot attribution, and heartbeats stream at the
 /// sampler's interval. Strictly passive: the report and profile are
@@ -1309,12 +1288,12 @@ mod tests {
             profile.depths.iter().map(|d| d.undo_bytes).sum::<u64>() > 0,
             "undo frames never reported their cost"
         );
-        // The profile survives a registry export (one counter triple per
-        // depth).
-        let mut reg = MetricsRegistry::new();
-        profile.export_into(&mut reg, "explore.");
-        let json = reg.snapshot().to_pretty();
-        assert!(json.contains("explore.depth.000.nodes"), "{json}");
+        // The JSON form has one object per depth, root first.
+        let json = profile.to_json();
+        let depths = json.as_array().expect("one object per depth");
+        assert_eq!(depths.len(), profile.depths.len());
+        assert_eq!(depths[0].get("depth").and_then(Json::as_u64), Some(0));
+        assert_eq!(depths[0].get("nodes").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   base. A traced run writes three sibling files:
 //!   `<path>.jsonl` (one JSON trace event per line),
 //!   `<path>.chrome.json` (Chrome `about:tracing` / Perfetto format), and
-//!   `<path>.metrics.json` (the [`RunStats`](crate::RunStats) snapshot,
+//!   `<path>.metrics.json` (the [`RunStats`] snapshot,
 //!   consumed by the `swiftdir-report` binary).
 //! * **`SWIFTDIR_TRACE_LIMIT=<n>`** — caps the number of events written
 //!   to the sinks; tracing self-disables after `n` events so a long run
@@ -28,7 +28,7 @@
 //! * **`SWIFTDIR_PROGRESS_INTERVAL_MS=<n>`** — minimum milliseconds
 //!   between heartbeats (default 500; `0` emits on every tick).
 //!
-//! All knob *parsing* is pure ([`TraceConfig::from_values`],
+//! All knob *parsing* is pure ([`TraceConfig::parse_values`],
 //! [`ProgressConfig::parse_values`]) so it can be tested without
 //! touching the process environment. Invalid values are never silent:
 //! the `from_env` constructors warn once on stderr and fall back to the
@@ -41,10 +41,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
-use sim_engine::{
-    CampaignCounters, ChromeTraceSink, Json, JsonlSink, Metric, MetricsRegistry, ProgressSampler,
-    Tracer,
-};
+use sim_engine::stats::counter_json;
+use sim_engine::{CampaignCounters, ChromeTraceSink, Json, JsonlSink, ProgressSampler, Tracer};
 use swiftdir_coherence::CoherenceEvent;
 
 use crate::system::RunStats;
@@ -96,15 +94,11 @@ impl TraceConfig {
     }
 
     /// Pure knob parsing: `path` and `limit` as the environment would
-    /// supply them. Empty or whitespace-only `path` disables tracing;
-    /// an unparsable `limit` is ignored; `limit == 0` disables tracing.
-    pub fn from_values(path: Option<&str>, limit: Option<&str>) -> Self {
-        Self::parse_values(path, limit).0
-    }
-
-    /// [`TraceConfig::from_values`] that also returns the human-readable
-    /// warnings for values that were ignored, so callers reading the
-    /// real environment can be loud about bad knobs.
+    /// supply them. Empty or whitespace-only `path` disables tracing; an
+    /// unparsable `limit` is ignored; `limit == 0` disables tracing. Also
+    /// returns the human-readable warnings for values that were ignored,
+    /// so callers reading the real environment can be loud about bad
+    /// knobs.
     pub fn parse_values(path: Option<&str>, limit: Option<&str>) -> (Self, Vec<String>) {
         let mut warnings = Vec::new();
         let path = path
@@ -304,15 +298,6 @@ impl ProgressConfig {
         }
     }
 
-    /// A config streaming to `sink` (a path or `-`) at the default
-    /// interval — what the bins build from their `--progress` flag.
-    pub fn to_sink(v: &str) -> Self {
-        ProgressConfig {
-            sink: Self::parse_sink(v),
-            ..Self::default()
-        }
-    }
-
     /// Whether this config enables telemetry.
     pub fn is_enabled(&self) -> bool {
         self.sink.is_some()
@@ -427,11 +412,11 @@ impl RunStats {
     /// The machine-readable snapshot of this run: every typed statistic
     /// — per-thread CPU counters, Table III event counts, hierarchy and
     /// DRAM counters, and the protocol metrics (per-request-class
-    /// latency histograms and the L1/LLC transition matrices) exported
-    /// through a [`MetricsRegistry`].
+    /// latency histograms and the L1/LLC transition matrices) under
+    /// `metrics`, keyed by dotted name.
     ///
     /// The result is deterministic: object keys are emitted in a fixed
-    /// order and the registry section is sorted by metric name.
+    /// order and the `metrics` section is sorted by name.
     pub fn snapshot(&self) -> Json {
         let threads = Json::array(self.threads.iter().map(|t| {
             Json::object([
@@ -474,13 +459,16 @@ impl RunStats {
             ("row_hit_rate", Json::Float(self.memory.row_hit_rate())),
         ]);
 
-        let mut reg = MetricsRegistry::new();
-        self.hierarchy.protocol.export_into(&mut reg, "protocol.");
-        reg.insert(
-            "run.instructions",
-            Metric::Counter(self.instructions().into()),
-        );
-        reg.insert("run.roi_cycles", Metric::Counter(self.roi_cycles().into()));
+        let mut metrics: Vec<(String, Json)> = self
+            .hierarchy
+            .protocol
+            .snapshot_entries("protocol.")
+            .chain([
+                ("run.instructions".into(), counter_json(self.instructions())),
+                ("run.roi_cycles".into(), counter_json(self.roi_cycles())),
+            ])
+            .collect();
+        metrics.sort_by(|a, b| a.0.cmp(&b.0));
 
         Json::object([
             ("schema", Json::from(SNAPSHOT_SCHEMA)),
@@ -491,7 +479,7 @@ impl RunStats {
             ("events", events),
             ("hierarchy", hierarchy),
             ("memory", memory),
-            ("metrics", reg.snapshot()),
+            ("metrics", Json::Object(metrics)),
         ])
     }
 
@@ -506,25 +494,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_values_parses_knobs() {
-        assert_eq!(TraceConfig::from_values(None, None), TraceConfig::default());
-        let c = TraceConfig::from_values(Some("out/trace"), None);
+    fn parse_values_parses_knobs() {
+        assert_eq!(
+            TraceConfig::parse_values(None, None).0,
+            TraceConfig::default()
+        );
+        let c = TraceConfig::parse_values(Some("out/trace"), None).0;
         assert_eq!(c.path.as_deref(), Some(Path::new("out/trace")));
         assert_eq!(c.limit, None);
         assert!(c.is_enabled());
 
-        let c = TraceConfig::from_values(Some(" t "), Some("500"));
+        let c = TraceConfig::parse_values(Some(" t "), Some("500")).0;
         assert_eq!(c.path.as_deref(), Some(Path::new("t")));
         assert_eq!(c.limit, Some(500));
     }
 
     #[test]
     fn empty_path_or_zero_limit_disables() {
-        assert!(!TraceConfig::from_values(Some(""), None).is_enabled());
-        assert!(!TraceConfig::from_values(Some("  "), None).is_enabled());
-        assert!(!TraceConfig::from_values(Some("t"), Some("0")).is_enabled());
+        assert!(!TraceConfig::parse_values(Some(""), None).0.is_enabled());
+        assert!(!TraceConfig::parse_values(Some("  "), None).0.is_enabled());
+        assert!(!TraceConfig::parse_values(Some("t"), Some("0"))
+            .0
+            .is_enabled());
         // An unparsable limit is ignored, not an error.
-        let c = TraceConfig::from_values(Some("t"), Some("lots"));
+        let c = TraceConfig::parse_values(Some("t"), Some("lots")).0;
         assert!(c.is_enabled());
         assert_eq!(c.limit, None);
     }

@@ -1,7 +1,7 @@
 //! Concrete, protocol-independent access streams.
 //!
 //! An [`AccessOp`] is one timed core access — the common currency of the
-//! schedule explorer ([`crate::explore`]), the differential checker
+//! schedule explorer ([`explore`](mod@crate::explore)), the differential checker
 //! ([`crate::diff`]), and the fuzz minimizer's replayable repros
 //! ([`crate::fuzz`]). A [`StreamFile`] bundles a stream with the
 //! hierarchy parameters needed to replay it bit-for-bit, and round-trips

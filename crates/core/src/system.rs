@@ -230,7 +230,7 @@ impl System {
     /// timestamp at a time until a timestamp delivers completions, and
     /// only the cores those completions reached run again. A core with
     /// no new completion has nothing to do (see
-    /// [`Core::run`](swiftdir_cpu::Core::run)), so the result is the same
+    /// [`Core::run`]), so the result is the same
     /// as running every core after every timestamp.
     ///
     /// # Panics
@@ -343,11 +343,6 @@ impl System {
         }
     }
 
-    /// The output files of this system's trace, when tracing is on.
-    pub fn trace_files(&self) -> Option<&TraceFiles> {
-        self.trace.as_ref()
-    }
-
     /// Performs one timed access from `core` on behalf of `pid` and runs
     /// the hierarchy to quiescence; returns the access latency in cycles.
     ///
@@ -399,11 +394,6 @@ impl System {
     /// The latency probe accumulated over all runs.
     pub fn probe(&self) -> &LatencyProbe {
         &self.probe
-    }
-
-    /// Clears the latency probe (e.g. after a warm-up phase).
-    pub fn reset_probe(&mut self) {
-        self.probe = LatencyProbe::new();
     }
 
     /// The coherent hierarchy (for state probes in tests and experiments).

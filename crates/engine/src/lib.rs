@@ -8,8 +8,9 @@
 //!   deterministic tie-break, the heart of the discrete-event simulator.
 //! * [`fxhash`] — a dependency-free FxHash-style hasher and map aliases
 //!   for the simulator's address-keyed hot-path maps.
-//! * [`stats`] — counters, histograms (with CDF extraction, used to
-//!   regenerate the paper's Figure 6) and running mean/max summaries.
+//! * [`stats`] — the exact-bucket latency histogram (with CDF extraction,
+//!   used to regenerate the paper's Figure 6) and the JSON rendering of the
+//!   run snapshot's counters and histograms.
 //! * [`rng`] — a small, explicitly-seeded SplitMix64/xoshiro random stream
 //!   plus the Zipf sampler workload generators use, so every simulation is
 //!   bit-reproducible regardless of platform or dependency versions.
@@ -18,8 +19,6 @@
 //! * [`tracer`] — the structured protocol tracer: typed [`TraceEvent`]s,
 //!   pluggable sinks (bounded ring, JSONL, Chrome `trace_event`), and a
 //!   closure-deferred emit path that costs one branch when disabled.
-//! * [`metrics`] — a named registry of counters/histograms/summaries with
-//!   deterministic JSON snapshots.
 //! * [`json`] — a dependency-free JSON model, writer, and parser used for
 //!   every machine-readable artifact the simulator produces.
 //! * [`progress`] — campaign-level telemetry: shared atomic counters,
@@ -43,7 +42,6 @@ pub mod cycle;
 pub mod fxhash;
 pub mod json;
 pub mod mesh;
-pub mod metrics;
 pub mod progress;
 pub mod queue;
 pub mod rng;
@@ -55,13 +53,12 @@ pub use cycle::Cycle;
 pub use fxhash::{map_heap_bytes, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use json::{Json, JsonError};
 pub use mesh::{MeshEndpoint, MeshTopology};
-pub use metrics::{Metric, MetricsRegistry};
 pub use progress::{
     CampaignCounters, Gauge, GaugeSnapshot, MemGauge, PhaseSpan, ProgressRecord, ProgressSampler,
     WorkerSlot, WorkerSnapshot, PROGRESS_SCHEMA, PROGRESS_SCHEMA_PREFIX,
 };
 pub use queue::{Chooser, EventQueue, FifoChooser, Pending, PopOrigin, QueueMark};
 pub use rng::{DetRng, LinkJitter, Zipf};
-pub use stats::{Counter, Histogram, HistogramMark, RunningStats};
+pub use stats::{Histogram, HistogramMark};
 pub use trace::TraceBuffer;
 pub use tracer::{ChromeTraceSink, JsonlSink, TraceEvent, TraceKind, TraceSink, Tracer, Unit};

@@ -8,7 +8,7 @@
 //! only needs delivery *time*, not per-router occupancy.
 //!
 //! With `hop_latency == 0` the mesh is a zero-cost crossbar and the
-//! calibrated point-to-point latencies ([`LatencyConfig`] in the
+//! calibrated point-to-point latencies (`LatencyConfig` in the
 //! coherence crate) stand unchanged; a nonzero hop latency adds a
 //! deterministic, placement-dependent extra on top of them.
 

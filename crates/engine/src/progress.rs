@@ -795,11 +795,6 @@ impl ProgressSampler {
         sink.emit(&rec, &extra);
         sink.finished = true;
     }
-
-    /// Whether [`ProgressSampler::finish`] has run.
-    pub fn is_finished(&self) -> bool {
-        self.sink.lock().expect("progress sink poisoned").finished
-    }
 }
 
 #[cfg(test)]

@@ -1,60 +1,18 @@
-//! Statistics primitives: counters, histograms, and running summaries.
+//! Statistics primitives: the exact-bucket latency histogram and the JSON
+//! rendering of the run snapshot's metrics.
 //!
 //! The paper's Figure 6 is a latency CDF; [`Histogram::cdf`] regenerates it
-//! directly from simulation samples. IPC, execution-time, and message-count
-//! tables are computed from [`Counter`]s and [`RunningStats`].
+//! directly from simulation samples.
 
-use std::fmt;
+use crate::json::Json;
 
-/// A monotonically increasing event counter.
-///
-/// # Example
-///
-/// ```
-/// use sim_engine::Counter;
-/// let mut loads = Counter::default();
-/// loads.inc();
-/// loads.add(2);
-/// assert_eq!(loads.get(), 3);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl From<u64> for Counter {
-    fn from(n: u64) -> Self {
-        Counter(n)
-    }
+/// A count rendered as a run-snapshot metric:
+/// `{"type": "counter", "value": n}`.
+pub fn counter_json(value: u64) -> Json {
+    Json::object([
+        ("type", Json::from("counter")),
+        ("value", Json::from(value)),
+    ])
 }
 
 /// A fixed-bucket histogram of `u64` samples (one bucket per value up to a
@@ -212,11 +170,6 @@ impl Histogram {
         points
     }
 
-    /// The exact-bucket cap this histogram was created with.
-    pub fn cap(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Iterates over `(value, count)` pairs of non-empty exact buckets,
     /// ascending by value (the overflow bucket is not included; see
     /// [`Histogram::overflow`]).
@@ -250,6 +203,32 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
     }
+
+    /// The histogram as a run-snapshot metric: count, sum, extrema,
+    /// p50/p90/p99, the overflow count and every non-empty exact bucket as
+    /// a `[value, count]` pair (`null` summaries when empty).
+    pub fn to_json(&self) -> Json {
+        let opt = |v: Option<u64>| v.map_or(Json::Null, Json::from);
+        Json::object([
+            ("type", Json::from("histogram")),
+            ("count", Json::from(self.count)),
+            ("sum", Json::from(self.sum)),
+            ("mean", self.mean().map_or(Json::Null, Json::from)),
+            ("min", opt(self.min())),
+            ("max", opt(self.max())),
+            ("p50", opt(self.quantile(0.5))),
+            ("p90", opt(self.quantile(0.9))),
+            ("p99", opt(self.quantile(0.99))),
+            ("overflow", Json::from(self.overflow)),
+            (
+                "buckets",
+                Json::array(
+                    self.nonzero_buckets()
+                        .map(|(value, n)| Json::array([Json::from(value), Json::from(n)])),
+                ),
+            ),
+        ])
+    }
 }
 
 /// Pre-record extrema captured by [`Histogram::mark`], consumed by
@@ -260,93 +239,9 @@ pub struct HistogramMark {
     max: u64,
 }
 
-/// Running mean/min/max without storing samples (Welford for variance).
-///
-/// # Example
-///
-/// ```
-/// use sim_engine::RunningStats;
-/// let mut s = RunningStats::default();
-/// for x in [1.0, 2.0, 3.0] {
-///     s.push(x);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.max(), Some(3.0));
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        if self.n == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean of the samples (0 when empty).
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Population variance, or `None` with fewer than two samples.
-    pub fn variance(&self) -> Option<f64> {
-        (self.n >= 2).then(|| self.m2 / self.n as f64)
-    }
-
-    /// Population standard deviation, or `None` with fewer than two samples.
-    pub fn stddev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest sample, or `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        assert_eq!(c.get(), 0);
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
 
     #[test]
     fn histogram_mean_min_max() {
@@ -444,26 +339,22 @@ mod tests {
     }
 
     #[test]
-    fn running_stats_welford() {
-        let mut s = RunningStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.push(x);
+    fn histogram_json_has_quantiles_and_buckets() {
+        let mut h = Histogram::new(64);
+        for v in [17, 17, 43] {
+            h.record(v);
         }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance().unwrap() - 4.0).abs() < 1e-12);
-        assert!((s.stddev().unwrap() - 2.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-    }
+        let j = h.to_json();
+        assert_eq!(j.get("type").and_then(Json::as_str), Some("histogram"));
+        assert_eq!(j.get("count").and_then(Json::as_u64), Some(3));
+        assert_eq!(j.get("p50").and_then(Json::as_u64), Some(17));
+        assert_eq!(j.get("max").and_then(Json::as_u64), Some(43));
+        let buckets = j.get("buckets").and_then(Json::as_array).unwrap();
+        assert_eq!(buckets.len(), 2, "two distinct values");
+        assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
 
-    #[test]
-    fn running_stats_empty_and_single() {
-        let mut s = RunningStats::new();
-        assert_eq!(s.min(), None);
-        assert_eq!(s.variance(), None);
-        s.push(3.0);
-        assert_eq!(s.mean(), 3.0);
-        assert_eq!(s.variance(), None);
+        let empty = Histogram::new(8).to_json();
+        assert_eq!(empty.get("mean"), Some(&Json::Null));
+        assert_eq!(empty.get("p50"), Some(&Json::Null));
     }
 }

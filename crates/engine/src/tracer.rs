@@ -12,7 +12,7 @@
 //! Three sinks cover the debugging spectrum:
 //!
 //! * a bounded ring ([`Tracer::ring`], built on
-//!   [`TraceBuffer`](crate::trace::TraceBuffer)) retaining recent history
+//!   [`TraceBuffer`]) retaining recent history
 //!   for invariant-failure dumps;
 //! * [`JsonlSink`] — one JSON object per line, the machine-readable full
 //!   trace CI and scripts diff;

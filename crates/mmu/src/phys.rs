@@ -129,11 +129,6 @@ impl PhysMemory {
         content[offset..offset + data.len()].copy_from_slice(data);
     }
 
-    /// The full page contents (zeroes when nothing was written).
-    pub fn page_content(&self, pfn: Pfn) -> Vec<u8> {
-        self.read_bytes(pfn, 0, PAGE_SIZE as usize)
-    }
-
     /// Copies an entire page `src` → `dst` (the copy half of copy-on-write).
     pub fn copy_page(&mut self, src: Pfn, dst: Pfn) {
         let content = self

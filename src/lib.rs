@@ -53,7 +53,7 @@ pub use swiftdir_workloads as workloads;
 
 /// The most commonly used items, re-exported for `use swiftdir::prelude::*`.
 pub mod prelude {
-    pub use sim_engine::{Counter, Cycle, DetRng, EventQueue, Histogram, RunningStats};
+    pub use sim_engine::{Cycle, DetRng, EventQueue, Histogram};
     pub use swiftdir_cache::{CacheGeometry, L1Architecture, ReplacementPolicy};
     pub use swiftdir_coherence::{CoherenceEvent, L1State, LlcState, ProtocolKind};
     pub use swiftdir_core::{

@@ -161,9 +161,33 @@ fn snapshot_round_trips_and_reconciles_with_typed_stats() {
     );
     assert!(stats.hierarchy.poll_events <= stats.hierarchy.mshr_polls);
 
-    // The registry section carries one latency histogram per request
-    // class, and their counts sum to the number of completions.
+    // The metrics section is sorted by name, and its names are stable:
+    // `swiftdir-report` and CI look them up.
     let metrics = snap.get("metrics").expect("metrics section");
+    let names: Vec<&str> = metrics
+        .as_object()
+        .expect("metrics is an object")
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+    for name in [
+        "protocol.transitions.l1.I->IS_D",
+        "protocol.latency.GETS_WP",
+        "protocol.install_retries",
+        "protocol.install_stalls",
+        "run.instructions",
+        "run.roi_cycles",
+    ] {
+        assert!(names.contains(&name), "{name} missing from {names:?}");
+    }
+    assert!(
+        !names.contains(&"protocol.transitions.l1.I->S"),
+        "zero matrix cells are left out"
+    );
+
+    // One latency histogram per request class, empty ones included, and
+    // their counts sum to the number of completions.
     let mut total = 0;
     for class in RequestClass::ALL {
         let h = metrics
@@ -186,6 +210,24 @@ fn snapshot_round_trips_and_reconciles_with_typed_stats() {
             .and_then(Json::as_u64);
         assert_eq!(counter, Some(n), "{name} mismatch");
     }
+}
+
+/// The snapshot is the one file `swiftdir-report` reads, so its bytes are
+/// pinned: a refactor of the reporting code must leave them unchanged.
+#[test]
+fn snapshot_bytes_are_pinned() {
+    let text = run_point(ProtocolKind::SwiftDir, TraceConfig::default())
+        .snapshot()
+        .to_pretty();
+    // FNV-1a over the pretty-printed bytes.
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    });
+    assert_eq!(
+        (text.len(), digest),
+        (35_730, 0x4bf3_1d41_b9cf_c744),
+        "snapshot bytes changed"
+    );
 }
 
 #[test]
