@@ -28,7 +28,7 @@ struct Line<S> {
 /// One journaled mutation record: a full snapshot of a set (plus the
 /// array-global tick and replacement RNG) taken just before the mutation.
 /// Restoring entries in reverse order rewinds the array exactly.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SetSave<S> {
     index: usize,
     tick: u64,
@@ -39,7 +39,7 @@ struct SetSave<S> {
 /// An undo journal of pre-mutation set snapshots; see
 /// [`CacheArray::enable_journal`]. Entries past `live` are retired but keep
 /// their line buffers allocated for reuse.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Journal<S> {
     entries: Vec<SetSave<S>>,
     live: usize,
@@ -74,7 +74,11 @@ impl<S> Default for Journal<S> {
 /// c.insert(0x40, 2);
 /// assert_eq!(c.get(0x44), Some(&2), "same block as 0x40");
 /// ```
-#[derive(Debug, Clone)]
+///
+/// A clone copies the lines, recency and digest cache but not the undo
+/// journal: it starts unjournaled (re-arm it with
+/// [`enable_journal`](Self::enable_journal)).
+#[derive(Debug)]
 pub struct CacheArray<S> {
     geom: CacheGeometry,
     policy: ReplacementPolicy,
@@ -92,6 +96,23 @@ pub struct CacheArray<S> {
     /// [`enable_journal`](Self::enable_journal). Boxed so the common
     /// non-journaling array pays one pointer.
     journal: Option<Box<Journal<S>>>,
+}
+
+impl<S: Clone> Clone for CacheArray<S> {
+    fn clone(&self) -> Self {
+        CacheArray {
+            geom: self.geom,
+            policy: self.policy,
+            sets: self.sets.clone(),
+            tick: self.tick,
+            rng_state: self.rng_state,
+            set_hashes: self.set_hashes.clone(),
+            dirty: self.dirty.clone(),
+            dirty_list: self.dirty_list.clone(),
+            rolling: self.rolling,
+            journal: None,
+        }
+    }
 }
 
 impl<S> CacheArray<S> {
@@ -625,6 +646,17 @@ mod tests {
         assert_eq!(fingerprint(&c), after_inner);
         c.journal_rollback(outer);
         assert_eq!(fingerprint(&c), after_outer);
+    }
+
+    #[test]
+    fn clone_leaves_the_journal_behind() {
+        let mut c = tiny();
+        c.enable_journal();
+        c.insert(0x000, 1);
+        c.insert(0x080, 2);
+        let copy = c.clone();
+        assert!(copy.journal.is_none(), "a clone starts unjournaled");
+        assert_eq!(fingerprint(&copy), fingerprint(&c));
     }
 
     #[test]

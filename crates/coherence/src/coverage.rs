@@ -29,8 +29,10 @@ use crate::state::{L1State, LlcState};
 /// separately and merged).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObservedCoverage {
-    l1: Vec<((L1State, L1State), u64)>,
-    llc: Vec<((LlcState, LlcState), u64)>,
+    /// `l1[from][to]`, indexed per [`L1State::index`].
+    l1: [[u64; L1State::COUNT]; L1State::COUNT],
+    /// `llc[from][to]`, indexed per [`LlcState::index`].
+    llc: [[u64; LlcState::COUNT]; LlcState::COUNT],
     events: EventCounts,
 }
 
@@ -44,51 +46,25 @@ impl ObservedCoverage {
     pub fn add(&mut self, stats: &HierarchyStats) {
         for from in L1State::ALL {
             for to in L1State::ALL {
-                let n = stats.protocol.l1_transitions(from, to);
-                if n > 0 {
-                    self.bump_l1(from, to, n);
-                }
+                self.l1[from.index()][to.index()] += stats.protocol.l1_transitions(from, to);
             }
         }
         for from in LlcState::ALL {
             for to in LlcState::ALL {
-                let n = stats.protocol.llc_transitions(from, to);
-                if n > 0 {
-                    self.bump_llc(from, to, n);
-                }
+                self.llc[from.index()][to.index()] += stats.protocol.llc_transitions(from, to);
             }
         }
         self.events.merge(&stats.events);
     }
 
-    fn bump_l1(&mut self, from: L1State, to: L1State, n: u64) {
-        match self.l1.iter_mut().find(|(k, _)| *k == (from, to)) {
-            Some((_, c)) => *c += n,
-            None => self.l1.push(((from, to), n)),
-        }
-    }
-
-    fn bump_llc(&mut self, from: LlcState, to: LlcState, n: u64) {
-        match self.llc.iter_mut().find(|(k, _)| *k == (from, to)) {
-            Some((_, c)) => *c += n,
-            None => self.llc.push(((from, to), n)),
-        }
-    }
-
     /// Count of one L1 transition in the union.
     pub fn l1(&self, from: L1State, to: L1State) -> u64 {
-        self.l1
-            .iter()
-            .find(|(k, _)| *k == (from, to))
-            .map_or(0, |(_, c)| *c)
+        self.l1[from.index()][to.index()]
     }
 
     /// Count of one LLC transition in the union.
     pub fn llc(&self, from: LlcState, to: LlcState) -> u64 {
-        self.llc
-            .iter()
-            .find(|(k, _)| *k == (from, to))
-            .map_or(0, |(_, c)| *c)
+        self.llc[from.index()][to.index()]
     }
 
     /// Count of one event class in the union.
@@ -98,11 +74,15 @@ impl ObservedCoverage {
 
     /// Folds another union into this one.
     pub fn merge(&mut self, other: &ObservedCoverage) {
-        for &((from, to), n) in &other.l1 {
-            self.bump_l1(from, to, n);
+        for (row, other_row) in self.l1.iter_mut().zip(&other.l1) {
+            for (n, m) in row.iter_mut().zip(other_row) {
+                *n += m;
+            }
         }
-        for &((from, to), n) in &other.llc {
-            self.bump_llc(from, to, n);
+        for (row, other_row) in self.llc.iter_mut().zip(&other.llc) {
+            for (n, m) in row.iter_mut().zip(other_row) {
+                *n += m;
+            }
         }
         self.events.merge(&other.events);
     }
@@ -240,7 +220,9 @@ impl CoverageSpec {
         self.l1.len()
     }
 
-    /// Diffs `observed` against the spec in both directions.
+    /// Diffs `observed` against the spec in both directions. Uncovered
+    /// entries follow the spec's order; illegal cells are listed in state
+    /// order ([`L1State::ALL`], [`LlcState::ALL`]).
     pub fn check(&self, observed: &ObservedCoverage) -> CoverageReport {
         let mut r = CoverageReport {
             protocol: self.protocol,
@@ -254,9 +236,12 @@ impl CoverageSpec {
                 r.uncovered_l1.push((from, to));
             }
         }
-        for &((from, to), n) in &observed.l1 {
-            if !self.l1_legal(from, to) {
-                r.illegal_l1.push((from, to, n));
+        for from in L1State::ALL {
+            for to in L1State::ALL {
+                let n = observed.l1(from, to);
+                if n > 0 && !self.l1_legal(from, to) {
+                    r.illegal_l1.push((from, to, n));
+                }
             }
         }
         for &(from, to) in &self.llc {
@@ -264,9 +249,12 @@ impl CoverageSpec {
                 r.uncovered_llc.push((from, to));
             }
         }
-        for &((from, to), n) in &observed.llc {
-            if !self.llc_legal(from, to) {
-                r.illegal_llc.push((from, to, n));
+        for from in LlcState::ALL {
+            for to in LlcState::ALL {
+                let n = observed.llc(from, to);
+                if n > 0 && !self.llc_legal(from, to) {
+                    r.illegal_llc.push((from, to, n));
+                }
             }
         }
         for &ev in &self.events {
@@ -452,6 +440,38 @@ mod tests {
         assert!(report.is_sound());
         assert!(!report.is_complete());
         assert_eq!(report.uncovered_l1.len(), spec.l1_len());
+    }
+
+    #[test]
+    fn union_is_independent_of_fold_order() {
+        let (mut a, mut b) = (HierarchyStats::default(), HierarchyStats::default());
+        a.protocol.record_l1(L1State::I, L1State::IsD);
+        b.protocol.record_l1(L1State::IsD, L1State::S);
+        b.protocol.record_llc(LlcState::I, LlcState::S);
+        let (mut ab, mut ba) = (ObservedCoverage::new(), ObservedCoverage::new());
+        ab.add(&a);
+        ab.add(&b);
+        ba.add(&b);
+        ba.add(&a);
+        assert_eq!(ab, ba);
+        let mut merged = ObservedCoverage::new();
+        merged.merge(&ba);
+        merged.merge(&ab);
+        assert_eq!(merged.l1(L1State::IsD, L1State::S), 2);
+        assert_eq!(merged.llc(LlcState::I, LlcState::S), 2);
+    }
+
+    #[test]
+    fn illegal_cells_are_listed_in_state_order() {
+        let spec = CoverageSpec::for_protocol(ProtocolKind::Msi);
+        let mut stats = HierarchyStats::default();
+        stats.protocol.record_l1(L1State::IsD, L1State::E);
+        stats.protocol.record_l1(L1State::E, L1State::M);
+        let report = spec.check_stats(&stats);
+        assert_eq!(
+            report.illegal_l1,
+            vec![(L1State::E, L1State::M, 1), (L1State::IsD, L1State::E, 1)]
+        );
     }
 
     #[test]

@@ -1190,8 +1190,13 @@ impl Hierarchy {
     ///
     /// Everything behavioral is cloned — controller state, the event queue
     /// (with in-flight messages and their identities), DRAM timing, the
-    /// data image, undrained completions, and accumulated stats. The one
-    /// exception is the tracer, which holds non-clonable sinks: forks get
+    /// data image, undrained completions, and accumulated stats, whose
+    /// latency histograms hold only the buckets their samples reached.
+    /// Traversal artifacts stay behind: the undo log, the cache arrays'
+    /// undo journals and every scratch buffer. A fork starts with undo
+    /// off (callers re-arm it with [`enable_undo`](Self::enable_undo)), so
+    /// it copies the live machine state and nothing a walk accumulated.
+    /// The tracer holds non-clonable sinks: forks get
     /// [`Tracer::disabled`], so a forked run is silent even when the parent
     /// records.
     pub fn fork(&self) -> Hierarchy {
@@ -1208,7 +1213,8 @@ impl Hierarchy {
             tracer: Tracer::disabled(),
             jitter: self.jitter.clone(),
             // The undo log is a traversal artifact, not hierarchy state: a
-            // fork starts its own (callers re-arm with `enable_undo`).
+            // fork starts its own (callers re-arm with `enable_undo`), as
+            // the arrays' clones start without their journals.
             undo: UndoLog::default(),
             digest: DigestScratch::default(),
             polls: self.polls.clone(),

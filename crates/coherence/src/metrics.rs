@@ -100,7 +100,9 @@ impl std::fmt::Display for RequestClass {
 
 /// Exact-bucket cap for the latency histograms. Coherence latencies are
 /// tens to hundreds of cycles; 4096 covers heavy DRAM queueing with room
-/// to spare (larger samples still count via the overflow bucket).
+/// to spare (larger samples still count via the overflow bucket). The
+/// buckets grow only as far as the largest sample, so the cap costs
+/// nothing a run does not use.
 pub const LATENCY_CAP: usize = 4096;
 
 /// The transition-count matrices and latency histograms the hierarchy

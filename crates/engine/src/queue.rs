@@ -137,7 +137,7 @@ impl<E> Chooser<E> for FifoChooser {
 /// assert_eq!(q.pop(), Some((Cycle(10), "late")));
 /// assert_eq!(q.pop(), None);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EventQueue<E> {
     /// Far-future events (`t >= now + WHEEL` at schedule time) and, after a
     /// chooser deviated from FIFO order, everything with `t > now`.
@@ -146,6 +146,8 @@ pub struct EventQueue<E> {
     /// regime): every entry's time lies in `[now, now + WHEEL)`, so bucket
     /// `t % WHEEL` holds exactly one timestamp and its entries are in
     /// ascending seq order. The wheel is empty in the disordered regime.
+    /// Either `WHEEL` buckets or none: they are allocated by the first
+    /// wheel insert, and a clone of an empty wheel leaves them behind.
     buckets: Vec<VecDeque<Scheduled<E>>>,
     /// Occupancy bitmap over `buckets`: bit i set iff bucket i is non-empty.
     occ: [u64; WHEEL_WORDS],
@@ -164,14 +166,35 @@ pub struct EventQueue<E> {
     ready: VecDeque<(u64, E)>,
     next_seq: u64,
     now: Cycle,
-    /// Set when [`pop_seq`](Self::pop_seq) delivered an event out of FIFO
-    /// order while others were pending. From then on the raw `(time, seq)`
-    /// order no longer matches effective delivery order
-    /// (`(max(time, now), seq)`), so `pop`/`pop_batch` take a careful scan
-    /// path until the queue drains. Entering this regime spills the wheel
-    /// into the heap and routes new timer events there, so the careful path
-    /// only ever scans heap + ready. Never set on the deterministic path.
+    /// Set by every [`pop_seq`](Self::pop_seq): a chooser may deliver out
+    /// of FIFO order, after which the raw `(time, seq)` order no longer
+    /// matches effective delivery order (`(max(time, now), seq)`), so
+    /// `pop`/`pop_batch` take a careful scan path until they drain the
+    /// queue. Entering this regime spills the wheel into the heap and
+    /// routes new timer events there, so the careful path only ever scans
+    /// heap + ready. It holds while a chooser steps, even through an empty
+    /// queue, so a chooser's walk never refills the wheel. Never set on
+    /// the deterministic path.
     disordered: bool,
+}
+
+impl<E: Clone> Clone for EventQueue<E> {
+    fn clone(&self) -> Self {
+        EventQueue {
+            heap: self.heap.clone(),
+            buckets: if self.wheel_len == 0 {
+                Vec::new()
+            } else {
+                self.buckets.clone()
+            },
+            occ: self.occ,
+            wheel_len: self.wheel_len,
+            ready: self.ready.clone(),
+            next_seq: self.next_seq,
+            now: self.now,
+            disordered: self.disordered,
+        }
+    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -185,7 +208,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            buckets: (0..WHEEL).map(|_| VecDeque::new()).collect(),
+            buckets: Vec::new(),
             occ: [0; WHEEL_WORDS],
             wheel_len: 0,
             ready: VecDeque::new(),
@@ -217,6 +240,9 @@ impl<E> EventQueue<E> {
             self.ready.push_back((seq, event));
         } else if !self.disordered && time.get() - self.now.get() < WHEEL as u64 {
             let idx = (time.get() % WHEEL as u64) as usize;
+            if self.buckets.is_empty() {
+                self.buckets = (0..WHEEL).map(|_| VecDeque::new()).collect();
+            }
             debug_assert!(self.buckets[idx].back().is_none_or(|s| s.time == time));
             self.buckets[idx].push_back(Scheduled { time, seq, event });
             self.occ[idx / 64] |= 1u64 << (idx % 64);
@@ -390,8 +416,10 @@ impl<E> EventQueue<E> {
         let idx = (t.get() % WHEEL as u64) as usize;
         loop {
             let h = self.heap.peek().filter(|s| s.time == t).map(|s| s.seq);
-            let w = self.buckets[idx]
-                .front()
+            let w = self
+                .buckets
+                .get(idx)
+                .and_then(VecDeque::front)
                 .filter(|s| s.time == t)
                 .map(|s| s.seq);
             match (h, w) {
@@ -535,8 +563,10 @@ impl<E> EventQueue<E> {
         let event = self.remove_seq(seq).expect("checked present");
         self.now = at;
         // Any deviation from strict FIFO order leaves the raw order
-        // untrustworthy; flag it unless the queue is now empty.
-        self.disordered = !self.is_empty();
+        // untrustworthy. Stay in the heap regime even when the queue is
+        // now empty: the chooser's next steps would otherwise find new
+        // timer events in the wheel and walk all its buckets.
+        self.disordered = true;
         Some((at, origin, event))
     }
 
@@ -1077,6 +1107,27 @@ mod tests {
         // take the fast path again.
         q.schedule(Cycle(600), 4);
         assert_eq!(q.pop(), Some((Cycle(600), 4)));
+    }
+
+    #[test]
+    fn a_chooser_that_empties_the_queue_keeps_new_events_out_of_the_wheel() {
+        let mut q = EventQueue::new();
+        q.schedule(Cycle(10), 1); // seq 1 → wheel
+        assert_eq!(q.pop_seq(1), Some((Cycle(10), 1)));
+        assert!(q.is_empty());
+        q.schedule(Cycle(12), 2);
+        q.schedule(Cycle(11), 3);
+        assert_eq!(q.wheel_len, 0, "the chooser's queue stays in the heap");
+        // A clone of an empty wheel allocates no buckets, and still
+        // delivers in effective order, through the careful path or a
+        // fresh wheel once drained.
+        let mut copy = q.clone();
+        assert!(copy.buckets.is_empty());
+        assert_eq!(copy.pop(), Some((Cycle(11), 3)));
+        assert_eq!(copy.pop(), Some((Cycle(12), 2)));
+        copy.schedule(Cycle(20), 4);
+        assert_eq!(copy.wheel_len, 1, "a drained queue refills the wheel");
+        assert_eq!(copy.pop(), Some((Cycle(20), 4)));
     }
 
     #[test]

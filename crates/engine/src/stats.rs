@@ -15,12 +15,15 @@ pub fn counter_json(value: u64) -> Json {
     ])
 }
 
-/// A fixed-bucket histogram of `u64` samples (one bucket per value up to a
-/// cap, plus an overflow bucket).
+/// An exact-bucket histogram of `u64` samples: one bucket per value below
+/// a cap, plus an overflow bucket.
 ///
 /// Coherence-request latencies are small integers (tens of cycles), so an
 /// exact per-value histogram is cheap and lets us print the precise CDF the
-/// paper plots in Figure 6.
+/// paper plots in Figure 6. The buckets grow on demand to the largest
+/// sample below the cap, so an empty or short-latency histogram costs
+/// nothing to create, clone or drop; the cap alone decides which samples
+/// overflow, and every statistic reads as if all `cap` buckets existed.
 ///
 /// # Example
 ///
@@ -33,9 +36,12 @@ pub fn counter_json(value: u64) -> Json {
 /// assert_eq!(h.count(), 3);
 /// assert_eq!(h.median(), Some(17));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
+    /// Exact buckets for `0..buckets.len()`; values from there up to `cap`
+    /// have count zero.
     buckets: Vec<u64>,
+    cap: usize,
     overflow: u64,
     count: u64,
     sum: u64,
@@ -45,10 +51,12 @@ pub struct Histogram {
 
 impl Histogram {
     /// Creates a histogram with exact buckets for values `0..cap`; larger
-    /// samples land in a single overflow bucket.
+    /// samples land in a single overflow bucket. Allocates nothing until
+    /// the first sample below the cap.
     pub fn new(cap: usize) -> Self {
         Histogram {
-            buckets: vec![0; cap],
+            buckets: Vec::new(),
+            cap,
             overflow: 0,
             count: 0,
             sum: 0,
@@ -71,6 +79,7 @@ impl Histogram {
     /// LIFO order: the most recent un-undone record must be undone first,
     /// otherwise the restored extrema are meaningless.
     pub fn unrecord(&mut self, value: u64, mark: HistogramMark) {
+        // Recording `value` grew the buckets past it, unless it overflowed.
         match self.buckets.get_mut(value as usize) {
             Some(b) => *b -= 1,
             None => self.overflow -= 1,
@@ -83,9 +92,14 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        match self.buckets.get_mut(value as usize) {
-            Some(b) => *b += 1,
-            None => self.overflow += 1,
+        if value < self.cap as u64 {
+            let i = value as usize;
+            if i >= self.buckets.len() {
+                self.buckets.resize(i + 1, 0);
+            }
+            self.buckets[i] += 1;
+        } else {
+            self.overflow += 1;
         }
         self.count += 1;
         self.sum += value;
@@ -142,7 +156,7 @@ impl Histogram {
                 return Some(value as u64);
             }
         }
-        Some(self.buckets.len() as u64)
+        Some(self.cap as u64)
     }
 
     /// Median sample.
@@ -165,7 +179,7 @@ impl Histogram {
             }
         }
         if self.overflow > 0 {
-            points.push((self.buckets.len() as u64, 1.0));
+            points.push((self.cap as u64, 1.0));
         }
         points
     }
@@ -188,10 +202,12 @@ impl Histogram {
     /// Panics if the bucket caps differ.
     pub fn merge(&mut self, other: &Histogram) {
         assert_eq!(
-            self.buckets.len(),
-            other.buckets.len(),
+            self.cap, other.cap,
             "merging histograms with different caps"
         );
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
             *a += b;
         }
@@ -230,6 +246,28 @@ impl Histogram {
         ])
     }
 }
+
+/// Equal when every statistic is: buckets past the shorter vector count
+/// as zero, so how far each side grew does not matter.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.buckets.len() <= other.buckets.len() {
+            (&self.buckets, &other.buckets)
+        } else {
+            (&other.buckets, &self.buckets)
+        };
+        self.cap == other.cap
+            && self.overflow == other.overflow
+            && self.count == other.count
+            && self.sum == other.sum
+            && self.min == other.min
+            && self.max == other.max
+            && long[..short.len()] == short[..]
+            && long[short.len()..].iter().all(|&n| n == 0)
+    }
+}
+
+impl Eq for Histogram {}
 
 /// Pre-record extrema captured by [`Histogram::mark`], consumed by
 /// [`Histogram::unrecord`].
@@ -336,6 +374,101 @@ mod tests {
         h.unrecord(100, m2);
         h.unrecord(7, m1);
         assert_eq!(h, reference);
+    }
+
+    /// Every bucket allocated up front: the reference layout each
+    /// statistic of a lazily grown histogram must match.
+    fn full_cap(cap: usize) -> Histogram {
+        let mut h = Histogram::new(cap);
+        h.buckets = vec![0; cap];
+        h
+    }
+
+    /// Every public view of `lazy` equals that of `full`.
+    fn assert_same_views(lazy: &Histogram, full: &Histogram) {
+        assert_eq!(lazy.to_json().to_string(), full.to_json().to_string());
+        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+            assert_eq!(lazy.quantile(q), full.quantile(q), "q = {q}");
+        }
+        assert_eq!(lazy.cdf(), full.cdf());
+        assert_eq!(
+            lazy.nonzero_buckets().collect::<Vec<_>>(),
+            full.nonzero_buckets().collect::<Vec<_>>()
+        );
+        assert_eq!(lazy, full);
+        assert_eq!(full, lazy);
+    }
+
+    #[test]
+    fn lazily_grown_histogram_matches_a_full_cap_one() {
+        let mut lazy = Histogram::new(64);
+        let mut full = full_cap(64);
+        assert_same_views(&lazy, &full);
+        let mut rng = crate::DetRng::new(11);
+        for _ in 0..500 {
+            let v = rng.below(80); // about a fifth overflow
+            lazy.record(v);
+            full.record(v);
+        }
+        assert!(lazy.overflow() > 0);
+        assert!(lazy.buckets.len() <= 64);
+        assert_same_views(&lazy, &full);
+    }
+
+    #[test]
+    fn overflow_only_samples_allocate_no_buckets() {
+        let mut lazy = Histogram::new(16);
+        let mut full = full_cap(16);
+        for v in [16, 40, 1000] {
+            lazy.record(v);
+            full.record(v);
+        }
+        assert!(lazy.buckets.is_empty());
+        assert_eq!(lazy.quantile(0.5), Some(16), "overflow reads as the cap");
+        assert_eq!(lazy.cdf(), vec![(16, 1.0)]);
+        assert_same_views(&lazy, &full);
+    }
+
+    #[test]
+    fn record_then_unrecord_returns_to_new() {
+        let mut h = Histogram::new(4096);
+        let marks: Vec<_> = [300, 12, 5000]
+            .into_iter()
+            .map(|v| {
+                let m = h.mark();
+                h.record(v);
+                (v, m)
+            })
+            .collect();
+        assert_eq!(h.buckets.len(), 301);
+        for (v, m) in marks.into_iter().rev() {
+            h.unrecord(v, m);
+        }
+        assert_eq!(h, Histogram::new(4096));
+        assert_same_views(&h, &full_cap(4096));
+    }
+
+    #[test]
+    fn merge_of_different_grown_lengths_matches_full_cap() {
+        let (mut short, mut long) = (Histogram::new(128), Histogram::new(128));
+        let (mut short_full, mut long_full) = (full_cap(128), full_cap(128));
+        for v in [3, 7, 7] {
+            short.record(v);
+            short_full.record(v);
+        }
+        for v in [2, 90, 500] {
+            long.record(v);
+            long_full.record(v);
+        }
+        let mut expect = short_full.clone();
+        expect.merge(&long_full);
+
+        let mut a = short.clone();
+        a.merge(&long);
+        assert_same_views(&a, &expect);
+        let mut b = long.clone();
+        b.merge(&short);
+        assert_same_views(&b, &expect);
     }
 
     #[test]
