@@ -148,7 +148,8 @@ impl UnitRecord {
 }
 
 /// A parsed journal: the header, the completed units (deduplicated by
-/// index, last record wins), and how much of the file was durable.
+/// index, first record in the journal wins), and how much of the file
+/// was durable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     pub header: CkptHeader,
@@ -497,6 +498,20 @@ mod tests {
         let err = CheckpointWriter::resume(&path, &other).unwrap_err();
         assert!(err.to_string().contains("different campaign"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn duplicate_index_keeps_the_first_record() {
+        let first = unit(1);
+        let second = UnitRecord {
+            digest: 0xbad,
+            ..unit(1)
+        };
+        // Out of index order too: the sort must keep journal order
+        // among equal indices.
+        let text = journal_text(&[first.clone(), unit(0), second]);
+        let ckpt = Checkpoint::parse(&text).unwrap();
+        assert_eq!(ckpt.units, vec![unit(0), first]);
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub enum ExploreMode {
 }
 
 /// The deepest a walk goes, and the largest `max_depth` a command line
-/// or job spec may ask for. A walk past `SHALLOW_LEVELS` reserves
+/// may ask for. A walk past `SHALLOW_LEVELS` reserves
 /// stack for every level left to its depth bound: 0.5 GiB at this limit.
 pub const MAX_DEPTH_LIMIT: usize = 1 << 15;
 

@@ -1,19 +1,20 @@
 //! Checkpoint/resume determinism: the property the durable campaign
-//! path (`--checkpoint` / `--resume` on the bins, `swiftdir-serve` in
-//! front of them) stakes everything on is that a campaign killed at an
-//! arbitrary instant and resumed finishes with a final digest set
+//! path (`--checkpoint` / `--resume` on `swiftdir-fuzz` and
+//! `swiftdir-explore`) stakes everything on is that a campaign killed at
+//! an arbitrary instant and resumed finishes with a final digest set
 //! **bit-identical** to an uninterrupted run, at any thread count.
 //!
-//! Three layers are pinned here:
+//! Two layers are pinned here:
 //!
 //! * the *journal* layer — resuming from a `swiftdir.ckpt.v1` file cut
 //!   at every unit boundary (and with a torn tail) reconverges;
 //! * the *cancellation* layer — a campaign stopped by a live
 //!   [`CancelToken`] mid-run leaves a journal that resumes to the same
-//!   digest set whether the finisher runs 1 or 4 threads;
-//! * the *service* layer — a `swiftdir-serve` spool whose server is
-//!   stopped mid-job finishes the job on restart with the baseline's
-//!   digest set.
+//!   digest set whether the finisher runs 1 or 4 threads.
+//!
+//! The process layer — a real `swiftdir-fuzz --checkpoint` run
+//! SIGKILLed mid-campaign and finished with `--resume` — is
+//! `scripts/kill_resume_smoke.sh`.
 
 use std::path::{Path, PathBuf};
 
@@ -24,7 +25,6 @@ use swiftdir::core::{
     run_fuzz_campaign_resumable, CancelToken, Checkpoint, CheckpointWriter, CkptHeader,
     ExploreConfig, ExploreUnit, FuzzConfig,
 };
-use swiftdir_serve::{FuzzJob, JobKind, JobSpec, Server};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("swiftdir-ckptres-{tag}-{}", std::process::id()));
@@ -188,6 +188,14 @@ fn explore_resume_from_every_cut_point_matches_the_uninterrupted_run() {
     assert!(out.complete());
     let want = out.digest_set_fnv();
 
+    // An explore journal says so in its header, and every unit walked
+    // at least one schedule.
+    let full = Checkpoint::load(&full_path).unwrap().unwrap();
+    assert_eq!(full.header.kind, "explore");
+    assert_eq!(full.units.len(), grid.len());
+    assert!(full.units.iter().all(|u| u.schedules > 0));
+    assert_eq!(full.digest_set_fnv(), want);
+
     let journal = std::fs::read_to_string(&full_path).unwrap();
     let lines: Vec<&str> = journal.lines().collect();
     for cut in 0..=grid.len() {
@@ -212,61 +220,4 @@ fn explore_resume_from_every_cut_point_matches_the_uninterrupted_run() {
         assert_eq!(out.digest_set_fnv(), want, "explore cut {cut} diverged");
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn a_stopped_server_finishes_the_job_on_restart_with_the_baseline_digest() {
-    let spec = JobSpec {
-        id: String::new(),
-        threads: Some(2),
-        kind: JobKind::Fuzz(FuzzJob {
-            seeds: 6,
-            protocols: vec![ProtocolKind::SwiftDir],
-            ops: Some(40),
-            jitter: None,
-        }),
-    };
-
-    // Baseline spool: run the job to completion undisturbed.
-    let baseline = Server::new(tempdir("serve-base"));
-    baseline.submit(&spec).unwrap();
-    baseline.run(true, None).unwrap();
-    let base = baseline.status().unwrap()[0].result.clone().unwrap();
-    assert!(base.ok && !base.cancelled);
-
-    // Stopped spool: trip the server's stop token from another thread
-    // while the job runs. A server stop must leave the job *resumable*
-    // (no result.json), unlike a per-job cancel which finalizes it.
-    let server = Server::new(tempdir("serve-stop"));
-    let id = server.submit(&spec).unwrap();
-    let stop = CancelToken::new();
-    let stopper = {
-        let stop = stop.clone();
-        std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            stop.cancel();
-        })
-    };
-    server.run(true, Some(&stop)).unwrap();
-    stopper.join().unwrap();
-
-    // Restart drains whatever is left — a full re-run if the stop beat
-    // the claim, a resume if it landed mid-campaign, a no-op if the
-    // job already finished. All three must end at the baseline digest.
-    server.run(true, None).unwrap();
-    let row = server
-        .status()
-        .unwrap()
-        .into_iter()
-        .find(|r| r.id == id)
-        .unwrap();
-    let result = row.result.expect("job must be done after the restart");
-    assert!(result.ok && !result.cancelled);
-    assert_eq!(result.units, base.units);
-    assert_eq!(
-        result.digest_set, base.digest_set,
-        "server stop/restart diverged from the uninterrupted digest set"
-    );
-    std::fs::remove_dir_all(baseline.dir()).ok();
-    std::fs::remove_dir_all(server.dir()).ok();
 }

@@ -26,7 +26,9 @@ use swiftdir::coherence::{
     L1State, ProtocolKind,
 };
 use swiftdir::core::diff::tiny_config;
-use swiftdir::core::explore::{explore, ExploreConfig, ExploreMode};
+use swiftdir::core::explore::{
+    check_max_depth, explore, ExploreConfig, ExploreMode, MAX_DEPTH_LIMIT,
+};
 use swiftdir::core::fuzz::{
     minimize_outcome, run_fuzz, FuzzConfig, FuzzFailureKind, MinimizeOutcome,
 };
@@ -1147,5 +1149,17 @@ fn runaway_mshr_polls_truncate_at_max_depth() {
         assert_eq!(report.error, None, "window {window}");
         assert!(report.truncated, "window {window}");
         assert_eq!(report.deepest, 1024, "window {window}");
+    }
+}
+
+/// `swiftdir-explore --depth` goes through `check_max_depth`: a walk
+/// reserves stack for every level left to its depth bound, so a bound
+/// above `MAX_DEPTH_LIMIT` is refused with a message naming `max_depth`.
+#[test]
+fn oversized_max_depth_is_rejected() {
+    assert_eq!(check_max_depth(MAX_DEPTH_LIMIT as u64), Ok(MAX_DEPTH_LIMIT));
+    for depth in [MAX_DEPTH_LIMIT as u64 + 1, 1_000_000, u64::MAX] {
+        let err = check_max_depth(depth).unwrap_err();
+        assert!(err.contains("max_depth"), "{depth}: {err}");
     }
 }
