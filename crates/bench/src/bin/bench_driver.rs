@@ -16,7 +16,8 @@
 //!    parallel with per-seed digests asserted identical, and the
 //!    campaign sampler's overhead (`sampler.*`).
 //! 4. **Explorer** — coverage-gate-shaped trees, serial vs parallel with
-//!    reports asserted identical, and the fork-walker oracle.
+//!    reports asserted identical (at one thread every task root is
+//!    undo-restored, in parallel it is replayed from the root).
 //! 5. **Scale-out** — a 64-core machine with the directory sharded into
 //!    8 address-interleaved banks, run to quiescence serially.
 //!
@@ -60,8 +61,8 @@ use sim_engine::{CampaignCounters, Cycle, Json, ProgressSampler};
 use swiftdir_coherence::{CoreRequest, Hierarchy, HierarchyConfig, ProtocolKind};
 use swiftdir_core::{
     driver, explore_campaign, run_fuzz, run_fuzz_campaign_resumable, AccessOp, DriverReport,
-    ExperimentSet, ExploreConfig, ExploreMode, FuzzConfig, ProgressConfig, RunStats, System,
-    SystemConfig, TraceConfig, EXPLORE_PHASES, FUZZ_PHASES,
+    ExperimentSet, ExploreConfig, FuzzConfig, ProgressConfig, RunStats, System, SystemConfig,
+    TraceConfig, EXPLORE_PHASES, FUZZ_PHASES,
 };
 use swiftdir_cpu::CpuModel;
 use swiftdir_mmu::PhysAddr;
@@ -635,7 +636,7 @@ fn main() -> ExitCode {
     );
     print_verdict(&SAMPLER, sampler_overhead);
 
-    // --- explorer: serial vs parallel vs the fork walker, reports agree -
+    // --- explorer: serial vs parallel, reports agree -----------------------
     let explore_all = |ecfg: &ExploreConfig, threads, progress: Option<&Arc<ProgressSampler>>| {
         timed(|| -> Vec<_> {
             workload
@@ -658,20 +659,10 @@ fn main() -> ExitCode {
         p.counters().add_total(workload.len() as u64);
     }
     let (explore_parallel_s, explore_parallel) = explore_all(&ecfg, threads, sampler.as_ref());
-    let fork_ecfg = ExploreConfig {
-        mode: ExploreMode::Fork,
-        ..ecfg
-    };
-    let (explore_fork_s, explore_fork) = explore_all(&fork_ecfg, 1, None);
     let mut explore_schedules = 0u64;
-    for ((a, b), c) in explore_serial
-        .iter()
-        .zip(&explore_parallel)
-        .zip(&explore_fork)
-    {
+    for (a, b) in explore_serial.iter().zip(&explore_parallel) {
         assert!(a.error.is_none(), "exploration failed: {:?}", a.error);
         assert_eq!(a, b, "explorer fan-out diverged across thread counts");
-        assert_eq!(a, c, "undo and fork walkers diverged");
         explore_schedules += a.schedules;
     }
     let explore_schedules_per_s = EXPLORE.value(&best[legs[2].1.clone()]);
@@ -681,11 +672,6 @@ fn main() -> ExitCode {
          reports identical: ok",
         workload.len(),
         explore_serial_s / explore_parallel_s
-    );
-    let undo_vs_fork_speedup = explore_fork_s / explore_serial_s;
-    println!(
-        "fork-walker oracle: {explore_fork_s:.3} s serial — undo walker is \
-         {undo_vs_fork_speedup:.2}x faster; reports bit-identical: ok"
     );
 
     // --- report ---------------------------------------------------------
@@ -752,8 +738,6 @@ fn main() -> ExitCode {
                     Json::Float(explore_serial_s / explore_parallel_s),
                 ),
                 ("schedules_per_s", Json::Float(explore_schedules_per_s)),
-                ("fork_serial_s", Json::Float(explore_fork_s)),
-                ("undo_vs_fork_speedup", Json::Float(undo_vs_fork_speedup)),
                 ("reports_identical", Json::Bool(true)),
             ]),
         ),

@@ -17,9 +17,12 @@
 //! * `--diff` — additionally run the differential layer: architectural
 //!   equivalence of all four protocols on well-separated streams, and
 //!   SwiftDir≡MESI schedule-tree isomorphism on WP-free streams.
-//! * `--oracle` — additionally run the walker oracle: the undo-log
-//!   backtracking explorer and the fork-based explorer must produce
-//!   whole-report-identical results on every stream.
+//! * `--oracle` — additionally run the walker oracle: every stream is
+//!   walked at one thread, where each task root is reached by rewinding
+//!   the undo log, and at several, where each task root is replayed
+//!   from the root on a fresh hierarchy; the two reports must be
+//!   whole-report-identical at the adaptive split depth and at each of
+//!   `ORACLE_SPLIT_DEPTHS`.
 //! * `--smoke` — the CI configuration: exhaustive 2-core × 2-block
 //!   exploration for every protocol plus the differential layer and
 //!   the walker oracle.
@@ -66,8 +69,7 @@ use swiftdir_core::diff::{
 };
 use swiftdir_core::driver;
 use swiftdir_core::explore::{
-    check_max_depth, explore_parallel_profiled, DepthProfile, ExploreConfig, ExploreMode,
-    EXPLORE_PHASES,
+    check_max_depth, explore_parallel_profiled, DepthProfile, ExploreConfig, EXPLORE_PHASES,
 };
 use swiftdir_core::fuzz::{run_fuzz, FuzzConfig};
 use swiftdir_core::{
@@ -357,43 +359,55 @@ fn explore_suite(args: &Args, sampler: Option<&Arc<ProgressSampler>>) -> bool {
     ok
 }
 
-/// The walker oracle: the snapshot-free undo-log explorer and the
-/// fork-based explorer must produce whole-report-identical results on
-/// every stream of the suite, for every protocol.
+/// Fixed split depths the walker oracle checks besides the adaptive
+/// one: each moves the task roots, and with them the nodes the two walks
+/// reach differently.
+const ORACLE_SPLIT_DEPTHS: [usize; 2] = [1, 2];
+
+/// The walker oracle: every stream of the suite, for every protocol,
+/// walked at one thread (task roots restored through the undo log) and
+/// at two or more (task roots replayed from the root) must produce
+/// whole-report-identical results at every split depth checked.
 fn oracle_suite(args: &Args) -> bool {
-    let undo_ecfg = args.explore_config();
-    let fork_ecfg = ExploreConfig {
-        mode: ExploreMode::Fork,
-        ..undo_ecfg
-    };
-    let threads = driver::default_threads();
+    let base = args.explore_config();
+    let threads = driver::default_threads().max(2);
+    let splits = std::iter::once(None).chain(ORACLE_SPLIT_DEPTHS.map(Some));
     let mut ok = true;
-    let mut schedules = 0u64;
+    let (mut schedules, mut tasks) = (0u64, 0u64);
     for (i, u) in args.grid().iter().enumerate() {
-        let (undo, _) = explore_parallel_profiled(&u.cfg, &u.stream, &undo_ecfg, threads);
-        let (fork, _) = explore_parallel_profiled(&u.cfg, &u.stream, &fork_ecfg, threads);
-        if undo != fork {
-            eprintln!(
-                "FAIL oracle {:?} stream {}: undo-log and fork walkers \
-                 diverged (undo {} schedules / {} steps, fork {} schedules / {} steps)",
-                u.cfg.protocol,
-                i as u64 % args.streams,
-                undo.schedules,
-                undo.steps,
-                fork.schedules,
-                fork.steps
-            );
-            ok = false;
-            continue;
+        for split_depth in splits.clone() {
+            let ecfg = ExploreConfig {
+                split_depth,
+                ..base
+            };
+            let (undo, _) = explore_parallel_profiled(&u.cfg, &u.stream, &ecfg, 1);
+            let (replay, _) = explore_parallel_profiled(&u.cfg, &u.stream, &ecfg, threads);
+            if undo != replay {
+                eprintln!(
+                    "FAIL oracle {:?} stream {} split {split_depth:?}: undo-restored and \
+                     replayed task roots diverged (1 thread {} schedules / {} steps, \
+                     {threads} threads {} schedules / {} steps)",
+                    u.cfg.protocol,
+                    i as u64 % args.streams,
+                    undo.schedules,
+                    undo.steps,
+                    replay.schedules,
+                    replay.steps
+                );
+                ok = false;
+                continue;
+            }
+            schedules += undo.schedules;
+            tasks += undo.tasks;
         }
-        schedules += undo.schedules;
     }
     if ok {
         println!(
-            "oracle: undo-log and fork walkers identical on {} protocols x {} streams \
-             ({schedules} schedules)",
+            "oracle: undo-restored and replayed task roots identical on {} protocols x {} \
+             streams x {} split depths ({tasks} task roots, {schedules} schedules)",
             args.protocols.len(),
-            args.streams
+            args.streams,
+            1 + ORACLE_SPLIT_DEPTHS.len()
         );
     }
     ok

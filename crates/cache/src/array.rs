@@ -74,10 +74,6 @@ impl<S> Default for Journal<S> {
 /// c.insert(0x40, 2);
 /// assert_eq!(c.get(0x44), Some(&2), "same block as 0x40");
 /// ```
-///
-/// A clone copies the lines, recency and digest cache but not the undo
-/// journal: it starts unjournaled (re-arm it with
-/// [`enable_journal`](Self::enable_journal)).
 #[derive(Debug)]
 pub struct CacheArray<S> {
     geom: CacheGeometry,
@@ -96,23 +92,6 @@ pub struct CacheArray<S> {
     /// [`enable_journal`](Self::enable_journal). Boxed so the common
     /// non-journaling array pays one pointer.
     journal: Option<Box<Journal<S>>>,
-}
-
-impl<S: Clone> Clone for CacheArray<S> {
-    fn clone(&self) -> Self {
-        CacheArray {
-            geom: self.geom,
-            policy: self.policy,
-            sets: self.sets.clone(),
-            tick: self.tick,
-            rng_state: self.rng_state,
-            set_hashes: self.set_hashes.clone(),
-            dirty: self.dirty.clone(),
-            dirty_list: self.dirty_list.clone(),
-            rolling: self.rolling,
-            journal: None,
-        }
-    }
 }
 
 impl<S> CacheArray<S> {
@@ -646,17 +625,6 @@ mod tests {
         assert_eq!(fingerprint(&c), after_inner);
         c.journal_rollback(outer);
         assert_eq!(fingerprint(&c), after_outer);
-    }
-
-    #[test]
-    fn clone_leaves_the_journal_behind() {
-        let mut c = tiny();
-        c.enable_journal();
-        c.insert(0x000, 1);
-        c.insert(0x080, 2);
-        let copy = c.clone();
-        assert!(copy.journal.is_none(), "a clone starts unjournaled");
-        assert_eq!(fingerprint(&copy), fingerprint(&c));
     }
 
     #[test]

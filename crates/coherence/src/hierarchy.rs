@@ -230,7 +230,7 @@ pub(crate) struct WbEntry {
 }
 
 /// One L1 controller's private state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct L1 {
     pub(crate) array: CacheArray<L1Line>,
     /// Blocks with an outstanding L1 transaction → queued requests
@@ -325,7 +325,7 @@ impl LlcLine {
 /// array plus that slice's set stalls, DRAM channel, and golden memory
 /// image. Banks share nothing: an LLC-side event touches only the bank
 /// that owns its block.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct LlcBank {
     pub(crate) array: CacheArray<LlcLine>,
     /// Requests stalled because their LLC set had no eligible victim,
@@ -585,7 +585,7 @@ struct PollTail {
 /// One pending poll group's slot: the members after the first (which
 /// rides in the event) and what [`Hierarchy::poll_dormant`] needs to
 /// prove that every member would stall again.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PollGroup {
     /// The members after the first, with their cores, in retry order.
     rest: Vec<(usize, PendingReq)>,
@@ -630,7 +630,7 @@ const CHANGE_LOG_LEN: usize = 64;
 /// stalls again: MSHR inserts and frees, installing-buffer and array
 /// state changes, installs, and forced states. Fixed-size; see
 /// [`Hierarchy::poll_dormant`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct ChangeLog {
     /// `(core, block)` of change `e` at slot `e % CHANGE_LOG_LEN`.
     ring: Box<[(usize, u64); CHANGE_LOG_LEN]>,
@@ -1185,46 +1185,6 @@ impl Hierarchy {
     }
 
     // -- schedule exploration ----------------------------------------------
-
-    /// An independent copy of the hierarchy for schedule-tree branching.
-    ///
-    /// Everything behavioral is cloned — controller state, the event queue
-    /// (with in-flight messages and their identities), DRAM timing, the
-    /// data image, undrained completions, and accumulated stats, whose
-    /// latency histograms hold only the buckets their samples reached.
-    /// Traversal artifacts stay behind: the undo log, the cache arrays'
-    /// undo journals and every scratch buffer. A fork starts with undo
-    /// off (callers re-arm it with [`enable_undo`](Self::enable_undo)), so
-    /// it copies the live machine state and nothing a walk accumulated.
-    /// The tracer holds non-clonable sinks: forks get
-    /// [`Tracer::disabled`], so a forked run is silent even when the parent
-    /// records.
-    pub fn fork(&self) -> Hierarchy {
-        Hierarchy {
-            cfg: self.cfg,
-            queue: self.queue.clone(),
-            l1s: self.l1s.clone(),
-            banks: self.banks.clone(),
-            next_req: self.next_req,
-            completions: self.completions.clone(),
-            batch: Vec::new(),
-            finish_scratch: Vec::new(),
-            stats: self.stats.clone(),
-            tracer: Tracer::disabled(),
-            jitter: self.jitter.clone(),
-            // The undo log is a traversal artifact, not hierarchy state: a
-            // fork starts its own (callers re-arm with `enable_undo`), as
-            // the arrays' clones start without their journals.
-            undo: UndoLog::default(),
-            digest: DigestScratch::default(),
-            polls: self.polls.clone(),
-            poll_free: self.poll_free.clone(),
-            poll_tail: self.poll_tail,
-            changes: self.changes.clone(),
-            chooser: self.chooser,
-            mesh: self.mesh,
-        }
-    }
 
     /// The network link a pending event rides, for FIFO filtering. Events
     /// on the same key must deliver in send order; events on different
@@ -4364,13 +4324,28 @@ mod tests {
         h
     }
 
+    /// `primed(protocol, 2)` with the seqs of `path` delivered in order:
+    /// the node `path` leads to, rebuilt from the root.
+    fn replayed(protocol: ProtocolKind, path: &[u64]) -> Hierarchy {
+        let mut h = primed(protocol, 2);
+        for &seq in path {
+            h.try_step_choice(seq)
+                .expect("legal step")
+                .expect("recorded seq is pending");
+        }
+        h
+    }
+
     /// DFS over the first few frontier choices, asserting at every node
     /// that stepping + undoing restores digest, stats, and completions
-    /// bit-exactly, and that the cached digest tracks the rescan.
-    fn walk_and_unwind(h: &mut Hierarchy, depth: usize) {
+    /// bit-exactly, that the rewound machine matches the node replayed
+    /// from the root along `path`, and that the cached digest tracks
+    /// the rescan.
+    fn walk_and_unwind(h: &mut Hierarchy, path: &mut Vec<u64>, depth: usize) {
         if depth == 0 {
             return;
         }
+        let reference = replayed(h.protocol(), path);
         let choices = h.frontier_choices(Cycle(8));
         for c in choices.into_iter().take(3) {
             let digest = h.state_digest();
@@ -4378,14 +4353,15 @@ mod tests {
             let stats = h.stats().clone();
             let completions = h.completions_len();
             let mark = h.undo_mark();
-            let snap = h.fork();
             if h.try_step_choice(c.seq).expect("legal step").is_none() {
                 continue;
             }
             assert!(h.undo_frame_bytes() > 0, "step recorded a frame");
-            walk_and_unwind(h, depth - 1);
+            path.push(c.seq);
+            walk_and_unwind(h, path, depth - 1);
+            path.pop();
             h.undo_to(mark);
-            let div = h.debug_divergence(&snap);
+            let div = h.debug_divergence(&reference);
             assert!(div.is_empty(), "undo diverged after {c:?}:\n{div}");
             assert_eq!(h.state_digest(), digest, "undo restores the digest");
             assert_eq!(h.state_digest_cached(), digest, "cache tracks rollback");
@@ -4399,7 +4375,7 @@ mod tests {
         for p in ProtocolKind::ALL {
             let mut h = primed(p, 2);
             h.enable_undo();
-            walk_and_unwind(&mut h, 4);
+            walk_and_unwind(&mut h, &mut Vec::new(), 4);
         }
     }
 
@@ -4407,7 +4383,6 @@ mod tests {
     fn undo_unwinds_a_full_run_to_the_root() {
         let mut h = primed(ProtocolKind::SwiftDir, 2);
         h.enable_undo();
-        let reference = h.fork();
         let root_digest = h.state_digest();
         let root = h.undo_mark();
         let mut steps = 0u32;
@@ -4421,6 +4396,9 @@ mod tests {
         assert!(steps > 20, "setup must produce a real run ({steps} steps)");
         assert!(h.completions_len() > 0, "the run completed requests");
         h.undo_to(root);
+        let reference = primed(ProtocolKind::SwiftDir, 2);
+        let div = h.debug_divergence(&reference);
+        assert!(div.is_empty(), "undo diverged from the root:\n{div}");
         assert_eq!(h.state_digest(), root_digest);
         assert_eq!(h.stats(), reference.stats());
         assert_eq!(h.completions_len(), 0);

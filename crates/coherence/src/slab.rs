@@ -21,7 +21,7 @@ const FREE: u64 = u64::MAX;
 /// structural (`is_full`) rather than a map-length comparison, and slot
 /// request vectors live for the table's lifetime — a completed
 /// transaction's vector is cleared and reused by the next one.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct MshrTable<V> {
     blocks: Vec<u64>,
     reqs: Vec<Vec<V>>,
@@ -150,7 +150,7 @@ impl<V> MshrTable<V> {
 /// buffer) that hold at most a few entries: a linear scan over a dense
 /// key/value vector beats hashing at this size, and the vector's
 /// allocation is reused across the run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct BlockMap<V> {
     entries: Vec<(u64, V)>,
 }

@@ -170,7 +170,6 @@ pub fn explore_grid_digest(units: &[ExploreUnit], ecfg: &ExploreConfig) -> u64 {
     f.mix(ecfg.max_schedules);
     f.mix(ecfg.max_states as u64);
     f.mix(ecfg.sleep_sets as u64);
-    f.mix(ecfg.check_invariants as u64);
     f.mix(ecfg.split_depth.map_or(u64::MAX, |d| d as u64));
     f.mix(ecfg.max_tasks as u64);
     for u in units {

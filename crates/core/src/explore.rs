@@ -24,17 +24,16 @@
 //!   `sleep_set_reduction_preserves_outcomes` test cross-checks the two
 //!   modes against each other.
 //!
-//! # Backtracking, not snapshotting
+//! # Backtracking, and replay from the root
 //!
-//! The default walker ([`ExploreMode::Undo`]) owns **one** hierarchy for
-//! the whole walk: each step records a compact undo frame
-//! ([`Hierarchy::enable_undo`]) and the walker rewinds it in place
-//! ([`Hierarchy::undo_to`]) when the subtree is done, so interior nodes
-//! never pay for a full-machine [`Hierarchy::fork`]. The clone-and-
-//! descend walker survives as [`ExploreMode::Fork`] — a differential
-//! oracle: both modes must produce bit-identical reports, and the
-//! `undo_and_fork_walkers_agree_bitwise` test (plus the
-//! `--smoke` oracle run in CI) holds them to it.
+//! The walker owns **one** hierarchy for the whole walk: each step
+//! records a compact undo frame ([`Hierarchy::enable_undo`]) and the
+//! walker rewinds it in place ([`Hierarchy::undo_to`]) when the subtree
+//! is done, so interior nodes never copy the machine. The one other way
+//! to reach a node is to rebuild it: [`replay_schedule`] re-runs a
+//! node's path (the seqs an [`ExploreError::schedule`] records) on a
+//! fresh hierarchy, the stateless model checker's way of restoring a
+//! state.
 //!
 //! # Decomposition and parallelism
 //!
@@ -46,14 +45,18 @@
 //! node above the boundary, and each boundary node roots an independent
 //! *task* with a private digest table, private budgets, and the exact
 //! sleep set the serial walk would hand it. Tasks are fanned over
-//! worker threads by work stealing ([`ExperimentSet::run_owned`]) with
-//! one bounded fork per task, or run inline on the spine's own
-//! hierarchy when `threads == 1` (zero forks end to end in undo mode).
-//! Task reports merge **in spine emission order**, so the report is
+//! worker threads by work stealing ([`ExperimentSet::run_owned`]), and
+//! each worker rebuilds its task's root with [`replay_schedule`]; when
+//! `threads == 1` they run inline on the spine's own hierarchy, which
+//! reaches each task root by rewinding through the undo log. Task
+//! reports merge **in spine emission order**, so the report is
 //! bit-identical for every thread count — [`explore`] *is*
-//! [`explore_parallel_profiled`] with one thread. Cross-task revisits
-//! are only pruned within a task, never across tasks; the pure serial
-//! single-table walk remains available via
+//! [`explore_parallel_profiled`] with one thread. That equality is also
+//! the walker oracle: at one thread every task root is undo-restored,
+//! at more it is root-replayed, so an undo fault that changes any later
+//! behavior splits the two reports (`swiftdir-explore --oracle`).
+//! Cross-task revisits are only pruned within a task, never across
+//! tasks; the pure serial single-table walk remains available via
 //! `split_depth: Some(usize::MAX)` (it prunes more, so its `timings`
 //! set can be a subset).
 //!
@@ -67,7 +70,8 @@ use std::sync::Arc;
 
 use sim_engine::{Cycle, FxHashMap, FxHashSet, Json, MemGauge, ProgressSampler};
 use swiftdir_coherence::{
-    Checker, Choice, Completion, Hierarchy, HierarchyConfig, ObservedCoverage, RequestId,
+    Checker, Choice, Completion, Hierarchy, HierarchyConfig, ObservedCoverage, ProtocolError,
+    RequestId,
 };
 
 use crate::driver::ExperimentSet;
@@ -83,19 +87,6 @@ pub const EXPLORE_PHASES: [&str; 3] = ["spine", "tasks", "merge"];
 /// Nodes between a walker's telemetry flushes (step/schedule deltas,
 /// seen-table / undo-log / slab gauges, one sampler tick).
 const EXPLORE_TELEMETRY_EVERY: u64 = 1024;
-
-/// How the walker restores a parent node's state after a subtree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExploreMode {
-    /// Mutate one hierarchy in place and rewind each step through the
-    /// undo log ([`Hierarchy::undo_to`]). The default: no per-step
-    /// forks, no per-leaf full-state rescans.
-    Undo,
-    /// Fork the hierarchy at every step and discard the child
-    /// afterwards. Kept as a differential oracle for the undo walker —
-    /// both modes must produce bit-identical reports.
-    Fork,
-}
 
 /// The deepest a walk goes, and the largest `max_depth` a command line
 /// may ask for. A walk past `SHALLOW_LEVELS` reserves
@@ -135,10 +126,6 @@ pub struct ExploreConfig {
     pub max_states: usize,
     /// Enable the sleep-set partial-order reduction.
     pub sleep_sets: bool,
-    /// Run the [`Checker`] after every dispatched event.
-    pub check_invariants: bool,
-    /// Parent-state restoration strategy (see [`ExploreMode`]).
-    pub mode: ExploreMode,
     /// Frontier depth at which subtrees become independent tasks (the
     /// work-stealing grain). `None` (the default) derives the depth
     /// from the root's measured branching factor — see
@@ -149,8 +136,8 @@ pub struct ExploreConfig {
     /// Spine nodes become at most this many parallel tasks; boundary
     /// nodes past the cap are explored inline by the spine
     /// (deterministically — the cutoff depends only on spine DFS
-    /// order), bounding outstanding hierarchy forks regardless of
-    /// frontier breadth. Cap hits are counted in
+    /// order), bounding the queued tasks regardless of frontier
+    /// breadth. Cap hits are counted in
     /// [`ExploreReport::task_cap_hits`] and warned about — never
     /// silent.
     pub max_tasks: usize,
@@ -164,8 +151,6 @@ impl Default for ExploreConfig {
             max_schedules: 250_000,
             max_states: 1 << 21,
             sleep_sets: true,
-            check_invariants: true,
-            mode: ExploreMode::Undo,
             split_depth: None,
             max_tasks: 4096,
         }
@@ -207,7 +192,8 @@ pub struct ExploreError {
     /// Human-readable description.
     pub detail: String,
     /// The schedule that produced it, as the event-seq choices taken
-    /// from the root (replayable via [`Hierarchy::try_step_choice`]).
+    /// from the root (re-run it on a fresh hierarchy with
+    /// [`replay_schedule`]).
     pub schedule: Vec<u64>,
 }
 
@@ -215,6 +201,88 @@ impl std::fmt::Display for ExploreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} on schedule {:?}", self.detail, self.schedule)
     }
+}
+
+/// Why [`replay_schedule`] could not rebuild a node.
+#[derive(Debug, Clone)]
+pub enum ReplayError {
+    /// The queue drained before step `step` of the schedule.
+    Quiesced {
+        /// Index of the first seq left over.
+        step: usize,
+    },
+    /// `seq` (step `step`) is not the head of any link, so no explored
+    /// schedule could deliver it next.
+    NotOnFrontier {
+        /// Index of the seq in the schedule.
+        step: usize,
+        /// The event sequence number asked for.
+        seq: u64,
+    },
+    /// Delivering `seq` (step `step`) was an illegal protocol event.
+    Protocol {
+        /// Index of the seq in the schedule.
+        step: usize,
+        /// The event sequence number delivered.
+        seq: u64,
+        /// What the hierarchy reported.
+        error: Box<ProtocolError>,
+    },
+}
+
+impl std::fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ReplayError::Quiesced { step } => {
+                write!(f, "the queue drained before schedule step {step}")
+            }
+            ReplayError::NotOnFrontier { step, seq } => {
+                write!(f, "schedule step {step}: seq {seq} is not on the frontier")
+            }
+            ReplayError::Protocol { step, seq, error } => {
+                write!(f, "schedule step {step}: seq {seq}: {error}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+/// Rebuilds the node `schedule` leads to: a fresh hierarchy from `cfg`
+/// with `stream` issued, then each seq delivered in order with
+/// [`Hierarchy::try_step_choice`]. A schedule is the path an
+/// [`ExploreError`] records and a deferred task starts from. Each seq
+/// must be the head of a link (a choice of
+/// [`Hierarchy::frontier_choices`] at any window), so a replay never
+/// delivers an event its link's FIFO order forbids.
+///
+/// # Errors
+///
+/// The first step that cannot be taken: the queue drained, the seq is
+/// not on the frontier, or its delivery was a protocol error.
+pub fn replay_schedule(
+    cfg: &HierarchyConfig,
+    stream: &[AccessOp],
+    schedule: &[u64],
+) -> Result<Hierarchy, ReplayError> {
+    let mut h = Hierarchy::new(*cfg);
+    issue_stream(&mut h, stream);
+    let (mut keys, mut heads) = (Vec::new(), Vec::new());
+    for (step, &seq) in schedule.iter().enumerate() {
+        if h.is_idle() {
+            return Err(ReplayError::Quiesced { step });
+        }
+        h.frontier_choices_into(Cycle::MAX, &mut keys, &mut heads);
+        if !heads.iter().any(|c| c.seq == seq) {
+            return Err(ReplayError::NotOnFrontier { step, seq });
+        }
+        match h.try_step_choice(seq) {
+            Ok(Some(_)) => {}
+            Ok(None) => return Err(ReplayError::NotOnFrontier { step, seq }),
+            Err(error) => return Err(ReplayError::Protocol { step, seq, error }),
+        }
+    }
+    Ok(h)
 }
 
 /// The result of one bounded-exhaustive exploration.
@@ -325,8 +393,8 @@ impl ExploreReport {
 pub struct DepthStats {
     /// Nodes entered at this depth (leaves included).
     pub nodes: u64,
-    /// Subtrees rewound (undo mode) or discarded (fork mode) back to a
-    /// parent at this depth's step.
+    /// Subtrees rewound through the undo log back to a parent at this
+    /// depth's step.
     pub backtracks: u64,
     /// Total approximate bytes the rewound undo frames pinned.
     pub undo_bytes: u64,
@@ -418,9 +486,7 @@ pub fn explore_campaign(
     let expected = stream.len();
     let mut root = Hierarchy::new(*cfg);
     issue_stream(&mut root, stream);
-    if ecfg.mode == ExploreMode::Undo {
-        root.enable_undo();
-    }
+    root.enable_undo();
 
     // Resolve the decomposition depth before the walk: fixed if the
     // config pins one, else derived from the root's branching factor.
@@ -458,7 +524,7 @@ pub fn explore_campaign(
             if let Some(p) = progress {
                 set = set.progress(Arc::clone(p));
             }
-            set.run_owned(|t| run_task(t, ecfg, expected))
+            set.run_owned(|t| run_task(t, cfg, stream, ecfg))
         }
     };
 
@@ -484,9 +550,9 @@ pub fn explore_campaign(
 }
 
 /// An independent subtree rooted at a decomposition-boundary node,
-/// ready to run on any worker thread.
+/// ready to run on any worker thread: the path to its root, which the
+/// worker replays, and the walker state the spine had there.
 struct Task {
-    h: Hierarchy,
     checker: Checker,
     sleep: Vec<Choice>,
     trace: Vec<u64>,
@@ -494,20 +560,28 @@ struct Task {
     progress: Option<Arc<ProgressSampler>>,
 }
 
-/// Walks one deferred [`Task`] to completion on the calling thread.
-fn run_task(mut t: Task, ecfg: &ExploreConfig, expected: usize) -> (ExploreReport, DepthProfile) {
+/// Rebuilds one deferred [`Task`]'s root by replaying its path from
+/// the root, then walks it to completion on the calling thread. A root
+/// that does not replay is the task's error, so it cannot go unseen.
+fn run_task(
+    t: Task,
+    cfg: &HierarchyConfig,
+    stream: &[AccessOp],
+    ecfg: &ExploreConfig,
+) -> (ExploreReport, DepthProfile) {
     // Worker threads hold no other span, so the whole task is `tasks`
     // time (inline tasks, by contrast, stay inside the spine's span).
-    let progress = t.progress.take();
-    let _task_span = progress.as_ref().map(|p| p.counters().span("tasks"));
-    if ecfg.mode == ExploreMode::Undo {
-        // The fork dropped the spine's undo log; re-arm on the task copy.
-        t.h.enable_undo();
+    let _task_span = t.progress.as_ref().map(|p| p.counters().span("tasks"));
+    let mut w = Walker::task(*ecfg, stream.len(), t.trace, &t.checker, t.depth);
+    w.progress = t.progress.clone();
+    match replay_schedule(cfg, stream, &w.trace) {
+        Ok(mut h) => {
+            h.enable_undo();
+            w.dfs(&mut h, &t.sleep, t.depth);
+            w.flush_telemetry(&h);
+        }
+        Err(e) => w.fail(format!("task root did not replay: {e}")),
     }
-    let mut w = Walker::task(*ecfg, expected, t.trace, &t.checker, t.depth);
-    w.progress = progress.clone();
-    w.dfs(&mut t.h, &t.sleep, t.depth);
-    w.flush_telemetry(&t.h);
     w.finish()
 }
 
@@ -556,7 +630,7 @@ enum Boundary {
     /// Run the boundary subtree immediately on this thread (with private
     /// walker state) and bank its result.
     Inline(Vec<(ExploreReport, DepthProfile)>),
-    /// Fork the hierarchy and queue the subtree for the worker pool.
+    /// Queue the subtree for the worker pool, which replays its root.
     Defer(Vec<Task>),
 }
 
@@ -700,8 +774,8 @@ impl Walker {
 
     /// Walks the subtree under `h`; returns false to abort this
     /// walker's exploration (violation found or hard budget hit). `h`
-    /// is returned to its entry state either way (undo mode) or left
-    /// untouched (fork mode), so the spine survives task failures.
+    /// is rewound to its entry state either way, so the spine survives
+    /// task failures.
     fn dfs(&mut self, h: &mut Hierarchy, sleep: &[Choice], depth: usize) -> bool {
         if depth == SHALLOW_LEVELS && !self.deep_stack {
             return self.dfs_on_deep_stack(h, sleep, depth);
@@ -859,14 +933,13 @@ impl Walker {
     }
 
     /// Packages the node under `h` as a task: deferred to the worker
-    /// pool (one hierarchy fork) or run inline right here (no fork —
-    /// the sub-walker borrows `h` and restores it).
+    /// pool (which replays the node from the root) or run inline right
+    /// here (the sub-walker borrows `h` and rewinds it).
     fn hand_off(&mut self, h: &mut Hierarchy, sleep: &[Choice], depth: usize) {
         match &mut self.boundary {
             Boundary::Off => unreachable!("hand_off gated on an active boundary"),
             Boundary::Defer(tasks) => {
                 tasks.push(Task {
-                    h: h.fork(),
                     checker: self.checkers[depth].clone(),
                     sleep: sleep.to_vec(),
                     trace: self.trace.clone(),
@@ -890,10 +963,9 @@ impl Walker {
     }
 
     /// Dispatches `choice` under `h`, audits the event, walks the child
-    /// subtree (at `depth + 1`) with `child_sleep`, and restores the
-    /// parent state: by rewinding the undo log in place (undo mode) or
-    /// by having stepped a discardable fork (fork mode). Returns false
-    /// to abort this walker.
+    /// subtree (at `depth + 1`) with `child_sleep`, and rewinds `h` to
+    /// the parent state through the undo log. Returns false to abort
+    /// this walker.
     fn step_into(
         &mut self,
         h: &mut Hierarchy,
@@ -902,43 +974,9 @@ impl Walker {
         depth: usize,
     ) -> bool {
         self.trace.push(choice.seq);
-        let ok = match self.ecfg.mode {
-            ExploreMode::Undo => {
-                let umark = h.undo_mark();
-                let ok = self.dispatch_and_descend(h, choice, child_sleep, depth);
-                if h.undo_mark() > umark {
-                    let p = self.profile.at(depth + 1);
-                    p.backtracks += 1;
-                    p.undo_bytes += h.undo_frame_bytes();
-                    // Rewind even failed dispatches: the frame was
-                    // recorded before the handler ran, so a partially
-                    // applied erroring step unwinds cleanly and the
-                    // spine can keep using `h`.
-                    h.undo_to(umark);
-                }
-                ok
-            }
-            ExploreMode::Fork => {
-                let mut child = h.fork();
-                let ok = self.dispatch_and_descend(&mut child, choice, child_sleep, depth);
-                self.profile.at(depth + 1).backtracks += 1;
-                ok
-            }
-        };
-        self.trace.pop();
-        ok
-    }
-
-    /// The mode-independent step body: deliver, audit, recurse.
-    fn dispatch_and_descend(
-        &mut self,
-        h: &mut Hierarchy,
-        choice: &Choice,
-        child_sleep: &[Choice],
-        depth: usize,
-    ) -> bool {
+        let umark = h.undo_mark();
         let cmark = h.completions_len();
-        match h.try_step_choice(choice.seq) {
+        let ok = match h.try_step_choice(choice.seq) {
             Err(e) => {
                 self.fail(format!("protocol error: {e}"));
                 false
@@ -955,20 +993,26 @@ impl Walker {
                 let (parents, children) = self.checkers.split_at_mut(depth + 1);
                 let checker = &mut children[0];
                 checker.assign_from(&parents[depth]);
-                let audit = if self.ecfg.check_invariants {
-                    checker.after_event(h, h.completions_since(cmark)).err()
-                } else {
-                    None
-                };
-                match audit {
-                    Some(v) => {
+                match checker.after_event(h, h.completions_since(cmark)) {
+                    Err(v) => {
                         self.fail(format!("invariant violation: {v}"));
                         false
                     }
-                    None => self.dfs(h, child_sleep, depth + 1),
+                    Ok(_) => self.dfs(h, child_sleep, depth + 1),
                 }
             }
+        };
+        if h.undo_mark() > umark {
+            let p = self.profile.at(depth + 1);
+            p.backtracks += 1;
+            p.undo_bytes += h.undo_frame_bytes();
+            // Rewind even failed dispatches: the frame was recorded
+            // before the handler ran, so a partially applied erroring
+            // step unwinds cleanly and the spine can keep using `h`.
+            h.undo_to(umark);
         }
+        self.trace.pop();
+        ok
     }
 
     /// Handles a drained-queue leaf: audits quiescence, records the
@@ -984,11 +1028,9 @@ impl Walker {
             ));
             return false;
         }
-        if self.ecfg.check_invariants {
-            if let Err(v) = self.checkers[depth].check_quiescent(h) {
-                self.fail(format!("quiescence violation: {v}"));
-                return false;
-            }
+        if let Err(v) = self.checkers[depth].check_quiescent(h) {
+            self.fail(format!("quiescence violation: {v}"));
+            return false;
         }
         let checker = &self.checkers[depth];
         self.report.schedules += 1;
@@ -1134,35 +1176,121 @@ mod tests {
     }
 
     #[test]
-    fn undo_and_fork_walkers_agree_bitwise() {
-        // The differential oracle: the in-place backtracking walker and
-        // the clone-and-descend walker must produce identical reports —
+    fn undo_restored_and_replayed_task_roots_agree_at_every_split_depth() {
+        // The walker oracle: at one thread the spine reaches every task
+        // root by rewinding its undo log, at two each worker replays the
+        // root's path on a fresh hierarchy. The reports must be equal —
         // schedules, steps, prunes, outcomes, timings, coverage,
-        // latencies, everything.
+        // latencies, everything — wherever the split puts the roots.
         for protocol in ProtocolKind::ALL {
             let cfg = tiny(protocol, 2);
-            let undo = explore(
-                &cfg,
-                &contended(),
-                &ExploreConfig {
-                    mode: ExploreMode::Undo,
+            let deepest = explore(&cfg, &contended(), &ExploreConfig::default()).deepest;
+            let mut tasks = 0;
+            for d in 1..=deepest {
+                let ecfg = ExploreConfig {
+                    split_depth: Some(d),
                     ..ExploreConfig::default()
-                },
-            );
-            let fork = explore(
-                &cfg,
-                &contended(),
-                &ExploreConfig {
-                    mode: ExploreMode::Fork,
-                    ..ExploreConfig::default()
-                },
-            );
-            assert!(
-                undo.exhaustive_and_clean(),
-                "{protocol:?}: {:?}",
-                undo.error
-            );
-            assert_eq!(undo, fork, "{protocol:?}: walkers diverged");
+                };
+                let undo = explore_parallel_profiled(&cfg, &contended(), &ecfg, 1).0;
+                let replay = explore_parallel_profiled(&cfg, &contended(), &ecfg, 2).0;
+                assert!(
+                    undo.exhaustive_and_clean(),
+                    "{protocol:?} split {d}: {:?}",
+                    undo.error
+                );
+                assert_eq!(undo, replay, "{protocol:?} split {d}: walks diverged");
+                tasks += undo.tasks;
+            }
+            assert!(tasks > 0, "{protocol:?}: no split emitted a task");
+        }
+    }
+
+    /// Undo-walks the first two choices of every node under `h` (at most
+    /// `budget` steps), checking that each node `path` reaches replays
+    /// from the root to the same digest, stats and completions.
+    fn replay_matches_walk(
+        cfg: &HierarchyConfig,
+        h: &mut Hierarchy,
+        path: &mut Vec<u64>,
+        budget: &mut usize,
+    ) {
+        let replayed = replay_schedule(cfg, &contended(), path).expect("a walked path replays");
+        assert_eq!(replayed.state_digest(), h.state_digest(), "{path:?}");
+        assert_eq!(replayed.stats(), h.stats(), "{path:?}");
+        assert_eq!(replayed.completions_len(), h.completions_len(), "{path:?}");
+        for choice in h.frontier_choices(Cycle(48)).into_iter().take(2) {
+            if *budget == 0 {
+                return;
+            }
+            *budget -= 1;
+            let mark = h.undo_mark();
+            h.try_step_choice(choice.seq)
+                .expect("protocol error")
+                .expect("frontier choice is deliverable");
+            path.push(choice.seq);
+            replay_matches_walk(cfg, h, path, budget);
+            path.pop();
+            h.undo_to(mark);
+        }
+    }
+
+    #[test]
+    fn replayed_nodes_match_the_undo_walker() {
+        for protocol in ProtocolKind::ALL {
+            let cfg = tiny(protocol, 2);
+            let mut h = Hierarchy::new(cfg);
+            issue_stream(&mut h, &contended());
+            h.enable_undo();
+            let mut budget = 400;
+            replay_matches_walk(&cfg, &mut h, &mut Vec::new(), &mut budget);
+            assert_eq!(budget, 0, "{protocol:?}: the walk ended early");
+        }
+    }
+
+    #[test]
+    fn replaying_a_seq_off_the_frontier_is_an_error() {
+        let cfg = tiny(ProtocolKind::SwiftDir, 2);
+        let root = replay_schedule(&cfg, &contended(), &[]).expect("the root replays");
+        let heads: Vec<u64> = root
+            .frontier_choices(Cycle::MAX)
+            .iter()
+            .map(|c| c.seq)
+            .collect();
+        // Each core's first access heads its link; the next one issued
+        // is pending behind it.
+        let behind = heads.iter().max().expect("accesses are pending") + 1;
+        assert!(!heads.contains(&behind));
+        for (schedule, step, seq) in [
+            (vec![behind], 0, behind),
+            (vec![heads[0], u64::MAX], 1, u64::MAX),
+        ] {
+            match replay_schedule(&cfg, &contended(), &schedule) {
+                Err(ReplayError::NotOnFrontier { step: s, seq: q }) => {
+                    assert_eq!((s, q), (step, seq), "{schedule:?}")
+                }
+                other => panic!("{schedule:?}: expected NotOnFrontier, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn replaying_past_quiescence_is_an_error() {
+        let cfg = tiny(ProtocolKind::Mesi, 2);
+        let mut h = replay_schedule(&cfg, &contended(), &[]).expect("the root replays");
+        let mut path = Vec::new();
+        while let Some(c) = h.frontier_choices(Cycle(48)).first().copied() {
+            h.try_step_choice(c.seq)
+                .expect("protocol error")
+                .expect("frontier choice is deliverable");
+            path.push(c.seq);
+        }
+        assert!(h.is_idle());
+        let end = replay_schedule(&cfg, &contended(), &path).expect("the full run replays");
+        assert_eq!(end.completions_len(), contended().len());
+        path.push(path[0]);
+        match replay_schedule(&cfg, &contended(), &path) {
+            Err(ReplayError::Quiesced { step }) => assert_eq!(step, path.len() - 1),
+            other => panic!("expected Quiesced, got {other:?}"),
         }
     }
 

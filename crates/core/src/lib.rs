@@ -77,8 +77,9 @@ pub use diff::{
 };
 pub use driver::{default_banks, default_threads, DriverReport, ExperimentSet, PointTiming};
 pub use explore::{
-    adaptive_split_depth, explore, explore_campaign, explore_parallel_profiled, DepthProfile,
-    DepthStats, ExploreConfig, ExploreError, ExploreMode, ExploreReport, EXPLORE_PHASES,
+    adaptive_split_depth, explore, explore_campaign, explore_parallel_profiled, replay_schedule,
+    DepthProfile, DepthStats, ExploreConfig, ExploreError, ExploreReport, ReplayError,
+    EXPLORE_PHASES,
 };
 pub use fuzz::{
     minimize, minimize_outcome, minimize_stream, replay, replay_with_fault, run_fuzz, FuzzConfig,

@@ -35,7 +35,7 @@ const WHEEL_WORDS: usize = WHEEL / 64;
 /// Ordering is by time first, then by insertion sequence number, so two
 /// events scheduled for the same cycle are delivered in the order they were
 /// scheduled. This tie-break is what makes the whole simulator deterministic.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Scheduled<E> {
     time: Cycle,
     seq: u64,
@@ -147,7 +147,7 @@ pub struct EventQueue<E> {
     /// `t % WHEEL` holds exactly one timestamp and its entries are in
     /// ascending seq order. The wheel is empty in the disordered regime.
     /// Either `WHEEL` buckets or none: they are allocated by the first
-    /// wheel insert, and a clone of an empty wheel leaves them behind.
+    /// wheel insert.
     buckets: Vec<VecDeque<Scheduled<E>>>,
     /// Occupancy bitmap over `buckets`: bit i set iff bucket i is non-empty.
     occ: [u64; WHEEL_WORDS],
@@ -176,25 +176,6 @@ pub struct EventQueue<E> {
     /// queue, so a chooser's walk never refills the wheel. Never set on
     /// the deterministic path.
     disordered: bool,
-}
-
-impl<E: Clone> Clone for EventQueue<E> {
-    fn clone(&self) -> Self {
-        EventQueue {
-            heap: self.heap.clone(),
-            buckets: if self.wheel_len == 0 {
-                Vec::new()
-            } else {
-                self.buckets.clone()
-            },
-            occ: self.occ,
-            wheel_len: self.wheel_len,
-            ready: self.ready.clone(),
-            next_seq: self.next_seq,
-            now: self.now,
-            disordered: self.disordered,
-        }
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -1118,16 +1099,13 @@ mod tests {
         q.schedule(Cycle(12), 2);
         q.schedule(Cycle(11), 3);
         assert_eq!(q.wheel_len, 0, "the chooser's queue stays in the heap");
-        // A clone of an empty wheel allocates no buckets, and still
-        // delivers in effective order, through the careful path or a
-        // fresh wheel once drained.
-        let mut copy = q.clone();
-        assert!(copy.buckets.is_empty());
-        assert_eq!(copy.pop(), Some((Cycle(11), 3)));
-        assert_eq!(copy.pop(), Some((Cycle(12), 2)));
-        copy.schedule(Cycle(20), 4);
-        assert_eq!(copy.wheel_len, 1, "a drained queue refills the wheel");
-        assert_eq!(copy.pop(), Some((Cycle(20), 4)));
+        // It still delivers in effective order, and refills the wheel
+        // once drained.
+        assert_eq!(q.pop(), Some((Cycle(11), 3)));
+        assert_eq!(q.pop(), Some((Cycle(12), 2)));
+        q.schedule(Cycle(20), 4);
+        assert_eq!(q.wheel_len, 1, "a drained queue refills the wheel");
+        assert_eq!(q.pop(), Some((Cycle(20), 4)));
     }
 
     #[test]

@@ -31,7 +31,7 @@ impl DetRng {
 
     /// Derives an independent child stream; used to give each simulated
     /// thread or component its own stream from one experiment seed.
-    pub fn fork(&mut self, salt: u64) -> DetRng {
+    pub fn split(&mut self, salt: u64) -> DetRng {
         let mixed = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         DetRng::new(mixed)
     }
@@ -115,7 +115,7 @@ impl DetRng {
 /// assert!(a >= Cycle(110) && a <= Cycle(114));
 /// assert!(b >= a, "same link stays FIFO");
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct LinkJitter {
     rng: DetRng,
     max_extra: u64,
@@ -301,10 +301,10 @@ mod tests {
     }
 
     #[test]
-    fn fork_gives_distinct_streams() {
+    fn split_gives_distinct_streams() {
         let mut parent = DetRng::new(99);
-        let mut c1 = parent.fork(0);
-        let mut c2 = parent.fork(1);
+        let mut c1 = parent.split(0);
+        let mut c2 = parent.split(1);
         assert_ne!(c1.next_u64(), c2.next_u64());
     }
 

@@ -190,7 +190,7 @@ impl ParsecBenchmark {
                     shared_bytes: params.shared_ro_bytes,
                 };
                 let mut rng = sim_engine::DetRng::new(self.seed());
-                let thread_rng = rng.fork(t as u64);
+                let thread_rng = rng.split(t as u64);
                 ParsecThread {
                     core: t,
                     stream: ParsecStream {

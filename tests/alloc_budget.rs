@@ -1,4 +1,4 @@
-//! Heap-allocation budgets of the audit and fork hot paths.
+//! Heap-allocation budgets of the audit and digest hot paths.
 //!
 //! The fuzzer runs the [`Checker`] after every simulated event and the
 //! schedule explorer digests the hierarchy at every node, so both must
@@ -6,8 +6,7 @@
 //! (per thread, so concurrently running tests do not interfere) pins
 //! that: after a warm-up pass, a second identical pass makes zero heap
 //! allocations inside `Checker::after_event` and
-//! `Hierarchy::state_digest_cached`. It also counts bytes, which pins
-//! what `Hierarchy::fork` copies for each deferred explore task.
+//! `Hierarchy::state_digest_cached`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -20,28 +19,15 @@ use swiftdir::core::issue_stream;
 
 struct Counting;
 
-/// Heap allocation calls and the bytes they asked for (a `realloc`
-/// counts its new size).
-#[derive(Debug, Clone, Copy)]
-struct Allocs {
-    calls: u64,
-    bytes: u64,
-}
-
 thread_local! {
-    static ALLOCATIONS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0 }) };
+    /// Heap allocation calls made on this thread (a `realloc` counts).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump(bytes: usize) {
+fn bump() {
     // `try_with`: the allocator may run while a thread's locals are torn
     // down; those allocations are not counted.
-    let _ = ALLOCATIONS.try_with(|n| {
-        let a = n.get();
-        n.set(Allocs {
-            calls: a.calls + 1,
-            bytes: a.bytes + bytes as u64,
-        })
-    });
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -49,17 +35,17 @@ fn bump(bytes: usize) {
 // thread-local and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
+        bump();
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
+        bump();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
+        bump();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -71,16 +57,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations `f` makes on this thread.
-fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, Allocs) {
+/// Heap allocation calls `f` makes on this thread.
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    let after = ALLOCATIONS.with(Cell::get);
-    let made = Allocs {
-        calls: after.calls - before.calls,
-        bytes: after.bytes - before.bytes,
-    };
-    (out, made)
+    (out, ALLOCATIONS.with(Cell::get) - before)
 }
 
 /// Runs `cfg`'s scenario to quiescence exactly as the fuzzer does (jitter
@@ -104,7 +85,7 @@ fn audit_allocations(cfg: &FuzzConfig, checker: &mut Checker) -> u64 {
         events += 1;
         let (audit, made) = allocs_in(|| checker.after_event(&h, h.completions_since(mark)));
         audit.expect("invariants hold");
-        total += made.calls;
+        total += made;
     }
     assert!(events > 100, "the scenario ran only {events} events");
     assert_eq!(
@@ -143,7 +124,7 @@ fn warm_checker_audits_a_fuzz_scenario_without_allocating() {
 /// node; visits at most `budget` nodes and returns the allocations made
 /// inside `state_digest_cached`.
 fn digest_walk(h: &mut Hierarchy, budget: &mut usize) -> u64 {
-    let mut total = allocs_in(|| h.state_digest_cached()).1.calls;
+    let mut total = allocs_in(|| h.state_digest_cached()).1;
     for choice in h.frontier_choices(Cycle(48)) {
         if *budget == 0 {
             break;
@@ -178,37 +159,6 @@ fn warm_state_digest_walks_a_schedule_tree_without_allocating() {
             h.state_digest_cached(),
             root,
             "the walk rewound to the root"
-        );
-    }
-}
-
-/// Bytes one `Hierarchy::fork` may allocate for a warm, undo-enabled
-/// two-core hierarchy a few steps into its schedule tree. The live
-/// machine state takes about 8 KiB; the budget leaves no room for the
-/// undo journals, five 4,096-bucket latency histograms (160 KiB) or an
-/// empty calendar wheel's bucket headers (8 KiB).
-const FORK_BYTE_BUDGET: u64 = 12 << 10;
-
-#[test]
-fn fork_of_a_warm_undo_hierarchy_copies_only_live_state() {
-    for protocol in ProtocolKind::ALL {
-        let mut h = Hierarchy::new(tiny_config(2, protocol));
-        issue_stream(&mut h, &contended_stream(7, 2, 2, 5, 0.3));
-        h.enable_undo();
-        // Warm the undo journals, then step a few choices deep so they
-        // hold live frames when the fork is taken.
-        digest_walk(&mut h, &mut 2000);
-        for _ in 0..4 {
-            let choice = h.frontier_choices(Cycle(48))[0];
-            h.try_step_choice(choice.seq)
-                .expect("protocol error")
-                .expect("frontier choice is deliverable");
-        }
-        let (fork, made) = allocs_in(|| h.fork());
-        assert_eq!(fork.state_digest(), h.state_digest(), "{protocol:?}");
-        assert!(
-            made.bytes <= FORK_BYTE_BUDGET,
-            "{protocol:?}: fork allocated {made:?}, over {FORK_BYTE_BUDGET} bytes"
         );
     }
 }

@@ -26,9 +26,7 @@ use swiftdir::coherence::{
     L1State, ProtocolKind,
 };
 use swiftdir::core::diff::tiny_config;
-use swiftdir::core::explore::{
-    check_max_depth, explore, ExploreConfig, ExploreMode, MAX_DEPTH_LIMIT,
-};
+use swiftdir::core::explore::{check_max_depth, explore, ExploreConfig, MAX_DEPTH_LIMIT};
 use swiftdir::core::fuzz::{
     minimize_outcome, run_fuzz, FuzzConfig, FuzzFailureKind, MinimizeOutcome,
 };
@@ -499,7 +497,7 @@ fn set_digest(set: &[u64]) -> u64 {
 /// With one MSHR per core, core 0's second load polls every four
 /// cycles; each poll stays one frontier choice, so the explored tree
 /// (schedules, steps, outcome and timing sets, the whole report) is
-/// pinned, and the undo and fork walkers agree on it. The window stays
+/// pinned. The window stays
 /// below the poll period: from 4 cycles up the walker may pick the
 /// next poll forever (see `runaway_mshr_polls_truncate_at_max_depth`).
 #[test]
@@ -535,38 +533,29 @@ fn explored_mshr_polls_are_pinned() {
     for (protocol, report, timings) in expected {
         let mut cfg = tiny_config(2, protocol);
         cfg.l1_mshrs = 1;
-        let walk = |mode| {
-            let ecfg = ExploreConfig {
-                mode,
-                window: 3,
-                ..ExploreConfig::default()
-            };
-            explore(&cfg, &stream, &ecfg)
+        let ecfg = ExploreConfig {
+            window: 3,
+            ..ExploreConfig::default()
         };
-        let undo = walk(ExploreMode::Undo);
+        let tree = explore(&cfg, &stream, &ecfg);
         assert!(
-            undo.exhaustive_and_clean(),
+            tree.exhaustive_and_clean(),
             "{protocol:?}: {:?}",
-            undo.error
+            tree.error
         );
         assert_eq!(
             (
-                undo.schedules,
-                undo.steps,
-                undo.outcomes.len(),
-                undo.timings.len()
+                tree.schedules,
+                tree.steps,
+                tree.outcomes.len(),
+                tree.timings.len()
             ),
             (8, 3397, 2, 5),
             "{protocol:?}"
         );
-        assert_eq!(set_digest(&undo.outcomes), OUTCOMES, "{protocol:?}");
-        assert_eq!(set_digest(&undo.timings), timings, "{protocol:?}");
-        assert_eq!(undo.digest(), report, "{protocol:?}");
-        assert_eq!(
-            undo,
-            walk(ExploreMode::Fork),
-            "{protocol:?}: walkers diverged"
-        );
+        assert_eq!(set_digest(&tree.outcomes), OUTCOMES, "{protocol:?}");
+        assert_eq!(set_digest(&tree.timings), timings, "{protocol:?}");
+        assert_eq!(tree.digest(), report, "{protocol:?}");
     }
 }
 
